@@ -1,78 +1,16 @@
-//! Criterion benchmarks of the deterministic nested-parallelism plane:
-//! the threaded GEMM split, critic training over it, and the
-//! candidate×corner×analysis population grid — each at 1/2/4/8 workers.
+//! Criterion benchmarks of the deterministic evaluation grid: the
+//! candidate×corner×analysis population grid at 1/2/4/8 workers.
 //!
-//! On a single-core host every thread count times the same arithmetic
-//! plus dispatch overhead (the scheduler is static, so there is no
-//! speedup to find); on a multi-core host the same rows show the
-//! scaling. `repro baseline` records the host's core count next to every
-//! row so the two regimes are never confused.
+//! The scheduler is static, so on a host with fewer cores than workers
+//! the extra counts time the same arithmetic plus dispatch overhead; on a
+//! multi-core host the same rows show the scaling. `repro baseline`
+//! records the host's core count next to every row so the two regimes are
+//! never confused.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dnn_opt::{Critic, DnnOptConfig};
-use linalg::{gemm, GemmOp, GemmWorkspace, Matrix};
 use opt::{parallel, Evaluator, Fom, SizingProblem};
-use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// One panel-spanning square product, comfortably past
-/// `GEMM_PARALLEL_MIN_WORK` so the static row split engages.
-fn bench_gemm_parallel(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(7);
-    let a = Matrix::from_fn(256, 256, |_, _| rng.gen::<f64>() - 0.5);
-    let b = Matrix::from_fn(256, 256, |_, _| rng.gen::<f64>() - 0.5);
-    for threads in THREAD_COUNTS {
-        c.bench_function(
-            &format!("gemm_parallel_256x256x256_nn_t{threads}"),
-            |bench| {
-                linalg::pool::set_max_threads(threads);
-                let mut ws = GemmWorkspace::new();
-                let mut out = Matrix::default();
-                bench.iter(|| {
-                    gemm(
-                        GemmOp::NoTrans,
-                        GemmOp::NoTrans,
-                        1.0,
-                        black_box(&a),
-                        black_box(&b),
-                        0.0,
-                        &mut out,
-                        &mut ws,
-                    );
-                    black_box(out.as_slice()[0])
-                });
-                linalg::pool::set_max_threads(0);
-            },
-        );
-    }
-}
-
-/// The critic training pass (same body and seed as
-/// `benches/model_kernels.rs`) with the GEMM thread budget swept — the
-/// 73.5 ms hot loop the threaded engine targets.
-fn bench_critic_train_mt(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(0);
-    let xs: Vec<Vec<f64>> = (0..150)
-        .map(|_| (0..20).map(|_| rng.gen()).collect())
-        .collect();
-    let fs: Vec<Vec<f64>> = xs
-        .iter()
-        .map(|xv| {
-            (0..30)
-                .map(|j| xv.iter().map(|v| (v - 0.1 * j as f64).powi(2)).sum::<f64>())
-                .collect()
-        })
-        .collect();
-    let cfg = DnnOptConfig::default();
-    for threads in THREAD_COUNTS {
-        c.bench_function(&format!("critic_train_n150_d20_m30_mt{threads}"), |b| {
-            parallel::set_max_threads(threads);
-            b.iter(|| Critic::train(&cfg, &xs, &fs, &mut rng));
-            parallel::set_max_threads(0);
-        });
-    }
-}
 
 /// The 16-candidate OTA population through the hierarchical
 /// candidate×corner×analysis grid at fixed worker counts (same population
@@ -104,10 +42,5 @@ fn bench_population_grid(c: &mut Criterion) {
     }
 }
 
-criterion_group!(
-    benches,
-    bench_gemm_parallel,
-    bench_critic_train_mt,
-    bench_population_grid
-);
+criterion_group!(benches, bench_population_grid);
 criterion_main!(benches);

@@ -31,29 +31,21 @@
 //!
 //! # Threading
 //!
-//! Products with `m·n·k ≥` [`GEMM_PARALLEL_MIN_WORK`] run on the shared
-//! [`crate::pool`] when its two-level budget allows (the evaluation grid
-//! is idle and the caller is not itself a pool worker — see
-//! [`crate::pool::gemm_threads`]). The split is **static**: the output's
-//! `MR`-row (or `NR`-column, whichever dimension has more tiles) tile
-//! index space is divided into one contiguous, tile-aligned range per
-//! thread by a pure function of (shape, thread count); each thread packs
-//! its own operand panels and computes its own disjoint output tiles.
-//! There is no work queue, no stealing, and no atomics or reductions
-//! anywhere in the floating-point path.
+//! Every product runs serially on the calling thread. The workspace has
+//! one parallel layer, the evaluation grid in `opt::parallel`, and it
+//! already owns every core while candidates simulate. The DNN-Opt
+//! training GEMMs between generations are ~128×48×40 products of tens of
+//! microseconds, too small to pay for a pool dispatch plus a second
+//! packing of the shared `B` panel per worker.
 //!
 //! # Determinism
 //!
 //! The tiling is fixed (compile-time `MC`/`KC`/`NC`/`MR`/`NR`) and the
-//! per-element accumulation order depends only on the operand shapes —
-//! never on thread count or scheduling — so repeated calls are
-//! bit-identical on a given host. Because the thread split above is
-//! tile-aligned, every thread sees exactly the tiles (and the `KC`-panel
-//! accumulation sequence per element) that the serial kernel would
-//! produce, so the threaded path is bit-identical to the serial one at
-//! any thread count. The FMA and portable micro-kernels may differ in
-//! final-bit rounding (fused vs separate multiply-add), but the selection
-//! is constant for the lifetime of the process.
+//! per-element accumulation order depends only on the operand shapes, so
+//! repeated calls are bit-identical on a given host. The FMA and portable
+//! micro-kernels may differ in final-bit rounding (fused vs separate
+//! multiply-add), but the selection is constant for the lifetime of the
+//! process.
 //!
 //! # Epilogues
 //!
@@ -139,12 +131,9 @@ const NC: usize = 4096;
 /// instead of the blocked one (packing overhead dominates tiny products).
 pub const GEMM_NAIVE_CUTOFF: usize = 4096;
 
-/// `m·n·k` below which the blocked kernel stays serial even when the
-/// thread budget would allow more: dispatch + duplicated packing overhead
-/// beats the speedup on small products. At or above it, [`gemm`] splits
-/// the output's larger tile dimension across the shared [`crate::pool`]
-/// (results stay bit-identical — see the module docs).
-pub const GEMM_PARALLEL_MIN_WORK: usize = 65_536;
+/// `m·n·k` at or above which a blocked product opens a `gemm` telemetry
+/// span, so traced training loops don't drown in micro-product events.
+const GEMM_SPAN_MIN_WORK: usize = 65_536;
 
 /// General matrix multiply `C := α·op(A)·op(B) + β·C`.
 ///
@@ -302,71 +291,33 @@ fn naive_body<E: Epilogue>(
     }
 }
 
-/// Raw mutable base pointer into `C`'s storage, shared across the threads
-/// of one parallel product. Each thread writes a disjoint, statically
-/// assigned set of output elements (see [`plan_threads`]), so the shared
-/// mutable access is race-free.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f64);
+/// Telemetry for one blocked product (one gate check when tracing is
+/// off): its flop count, plus a `gemm` span at or above
+/// [`GEMM_SPAN_MIN_WORK`]. Every product runs on one thread, so the
+/// span's argument (the worker count) is always 1.
+fn trace_product(work: usize) -> Option<telemetry::Span> {
+    if !telemetry::enabled() {
+        return None;
+    }
+    telemetry::record(telemetry::Metric::GemmFlops, 2 * work as u64);
+    (work >= GEMM_SPAN_MIN_WORK).then(|| telemetry::span_with(telemetry::SpanId::Gemm, 1))
+}
 
-impl SendPtr {
-    /// Accessor (rather than field access) so closures capture the whole
-    /// `Sync` wrapper, not the raw pointer field.
-    fn get(self) -> *mut f64 {
-        self.0
+/// The `β·C` pre-pass of the blocked kernels. `beta == 0` needs none: the
+/// output holds stale values (`prepare_output` skips the memset), and the
+/// first `KC` panel *stores* its tiles instead of accumulating, overwriting
+/// every element. `beta == 1` accumulates as-is.
+fn scale_output(beta: f64, c: &mut Matrix) {
+    if beta != 0.0 && beta != 1.0 {
+        for v in c.as_mut_slice() {
+            *v *= beta;
+        }
     }
 }
 
-// SAFETY: the pointer is only ever dereferenced on disjoint element sets
-// per thread (the tile split is a partition), and the owning `Matrix`
-// outlives the dispatch.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-thread_local! {
-    /// Packing buffers for parallel products: each participating thread
-    /// (including the caller running slot 0) packs into its own
-    /// thread-local workspace, reused allocation-free across dispatches.
-    static PARALLEL_WS: std::cell::RefCell<GemmWorkspace> =
-        std::cell::RefCell::new(GemmWorkspace::new());
-}
-
-/// The static thread split for an `m × n` (inner `k`) product: how many
-/// threads to use and whether to split the `MR`-row or `NR`-column tile
-/// dimension. A pure function of (shape, thread budget) — never of load
-/// or timing — so the partition is reproducible.
-fn plan_threads(m: usize, n: usize, k: usize) -> (usize, bool) {
-    if m.saturating_mul(n).saturating_mul(k) < GEMM_PARALLEL_MIN_WORK {
-        return (1, true);
-    }
-    let budget = crate::pool::gemm_threads();
-    if budget <= 1 {
-        return (1, true);
-    }
-    let row_tiles = m.div_ceil(MR);
-    let col_tiles = n.div_ceil(NR);
-    let split_rows = row_tiles >= col_tiles;
-    let tiles = if split_rows { row_tiles } else { col_tiles };
-    (budget.min(tiles), split_rows)
-}
-
-/// Contiguous tile range owned by `slot` out of `threads`: the first
-/// `tiles % threads` slots get one extra tile. Returned as an element
-/// range clamped to `limit`, with every interior boundary tile-aligned.
-fn slot_range(
-    slot: usize,
-    threads: usize,
-    tiles: usize,
-    tile: usize,
-    limit: usize,
-) -> (usize, usize) {
-    let base = tiles / threads;
-    let rem = tiles % threads;
-    let t0 = slot * base + slot.min(rem);
-    let t1 = t0 + base + usize::from(slot < rem);
-    ((t0 * tile).min(limit), (t1 * tile).min(limit))
-}
-
+/// The Goto loop nest: `NC`-column blocks × `KC`-depth panels × `MC`-row
+/// blocks, packing into `ws` and merging through the micro-kernel, then
+/// the fused epilogue once every element is final.
 #[allow(clippy::too_many_arguments)]
 fn blocked_body<E: Epilogue>(
     op_a: GemmOp,
@@ -381,133 +332,13 @@ fn blocked_body<E: Epilogue>(
     (m, n, k): (usize, usize, usize),
 ) {
     let kernel = select_micro_kernel();
+    let _span = trace_product(m.saturating_mul(n).saturating_mul(k));
+    scale_output(beta, c);
     let ccols = c.cols();
-    let (threads, split_rows) = plan_threads(m, n, k);
-    // Telemetry (one gate check when off): flops and split width for every
-    // blocked product, a `gemm` span only at or above the parallel work
-    // cutoff so traced training loops don't drown in micro-product events.
-    let work = m.saturating_mul(n).saturating_mul(k);
-    let _span = if telemetry::enabled() {
-        telemetry::record(telemetry::Metric::GemmFlops, 2 * work as u64);
-        if threads > 1 {
-            telemetry::record(telemetry::Metric::GemmSplitWidth, threads as u64);
-        }
-        (work >= GEMM_PARALLEL_MIN_WORK)
-            .then(|| telemetry::span_with(telemetry::SpanId::Gemm, threads as u64))
-    } else {
-        None
-    };
-    if threads <= 1 {
-        // SAFETY: exclusive access to all of `C` through its own base
-        // pointer; the region covers exactly the output.
-        unsafe {
-            compute_region(
-                op_a,
-                op_b,
-                alpha,
-                a,
-                b,
-                beta,
-                c.as_mut_slice().as_mut_ptr(),
-                ccols,
-                ws,
-                0..m,
-                0..n,
-                k,
-                kernel,
-            );
-        }
-    } else {
-        let cbase = SendPtr(c.as_mut_slice().as_mut_ptr());
-        let (tiles, tile, limit) = if split_rows {
-            (m.div_ceil(MR), MR, m)
-        } else {
-            (n.div_ceil(NR), NR, n)
-        };
-        crate::pool::run(threads, &|slot| {
-            let (e0, e1) = slot_range(slot, threads, tiles, tile, limit);
-            let (rows, cols) = if split_rows {
-                (e0..e1, 0..n)
-            } else {
-                (0..m, e0..e1)
-            };
-            PARALLEL_WS.with(|cell| {
-                let mut ws = cell.borrow_mut();
-                // SAFETY: slot ranges partition the tile index space, so
-                // every output element is written by exactly one thread;
-                // boundaries are tile-aligned, keeping per-element
-                // arithmetic identical to the serial kernel.
-                unsafe {
-                    compute_region(
-                        op_a,
-                        op_b,
-                        alpha,
-                        a,
-                        b,
-                        beta,
-                        cbase.get(),
-                        ccols,
-                        &mut ws,
-                        rows,
-                        cols,
-                        k,
-                        kernel,
-                    );
-                }
-            });
-        });
-    }
-    // All panels of every region have accumulated: the elements are
-    // final, so the fused epilogue runs now (serially, in row order).
-    for i in 0..m {
-        epilogue.apply(i, 0, c.row_mut(i));
-    }
-}
-
-/// The serial Goto loop nest over one rectangular region of the output:
-/// `NC`-column blocks × `KC`-depth panels × `MC`-row blocks, packing from
-/// `ws` and merging through the micro-kernel. The epilogue is *not*
-/// applied here — callers run it once the whole output is final.
-///
-/// # Safety
-///
-/// `cbase` must point to the start of a `rows.end × ccols` (at least)
-/// row-major buffer, and no other thread may concurrently access the
-/// `rows × cols` region. For bit-identity with the serial kernel,
-/// `rows.start` must be `MR`-aligned and `cols.start` `NR`-aligned.
-#[allow(clippy::too_many_arguments)]
-unsafe fn compute_region(
-    op_a: GemmOp,
-    op_b: GemmOp,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    cbase: *mut f64,
-    ccols: usize,
-    ws: &mut GemmWorkspace,
-    rows: std::ops::Range<usize>,
-    cols: std::ops::Range<usize>,
-    k: usize,
-    kernel: MicroKernel,
-) {
-    let mut jc = cols.start;
-    while jc < cols.end {
-        let nc = NC.min(cols.end - jc);
-        // One beta pass per column block. beta == 0 needs none: the output
-        // holds stale values (`prepare_output` skips the memset), and the
-        // first KC panel below *stores* its tiles instead of accumulating,
-        // overwriting every element. beta == 1 accumulates as-is.
-        if beta != 0.0 && beta != 1.0 {
-            for i in rows.clone() {
-                // SAFETY: row `i` and columns `jc..jc + nc` are inside the
-                // caller-guaranteed exclusive region.
-                let row = unsafe { std::slice::from_raw_parts_mut(cbase.add(i * ccols + jc), nc) };
-                for v in row {
-                    *v *= beta;
-                }
-            }
-        }
+    let cbase = c.as_mut_slice().as_mut_ptr();
+    let mut jc = 0;
+    while jc < n {
+        let nc = NC.min(n - jc);
         let mut pc = 0;
         while pc < k {
             let kc = KC.min(k - pc);
@@ -516,12 +347,12 @@ unsafe fn compute_region(
             let store = beta == 0.0 && pc == 0;
 
             pack_b(op_b, b, pc, kc, jc, nc, &mut ws.pack_b);
-            let mut ic = rows.start;
-            while ic < rows.end {
-                let mc = MC.min(rows.end - ic);
+            let mut ic = 0;
+            while ic < m {
+                let mc = MC.min(m - ic);
                 pack_a(op_a, a, ic, mc, pc, kc, &mut ws.pack_a);
-                // SAFETY: the `mc × nc` block at `(ic, jc)` lies inside
-                // the caller-guaranteed exclusive region.
+                // SAFETY: `cbase` addresses the whole `m × n` output, and
+                // the `mc × nc` block at `(ic, jc)` lies inside it.
                 unsafe {
                     macro_kernel(
                         alpha,
@@ -541,6 +372,9 @@ unsafe fn compute_region(
             pc += KC;
         }
         jc += NC;
+    }
+    for i in 0..m {
+        epilogue.apply(i, 0, c.row_mut(i));
     }
 }
 
@@ -647,70 +481,34 @@ pub fn gemm_prepacked_with<E: Epilogue>(
         return;
     }
     let kernel = select_micro_kernel();
+    let _span = trace_product(m.saturating_mul(n).saturating_mul(k));
+    scale_output(beta, c);
+    // The packed operand is a single panel (k ≤ KC), so the loop nest is
+    // just the MC-row loop over the shared B panel.
     let store = beta == 0.0;
     let ccols = c.cols();
-    // The packed operand is a single panel (k ≤ KC), so a region here is
-    // just the MC-row loop; rows split across threads exactly like the
-    // on-the-fly path (the prepacked B panel is shared, never re-packed).
-    let row_region = |cbase: *mut f64, ws: &mut GemmWorkspace, rows: std::ops::Range<usize>| {
-        if beta != 0.0 && beta != 1.0 {
-            for i in rows.clone() {
-                // SAFETY: row `i` is inside the caller's exclusive range.
-                let row = unsafe { std::slice::from_raw_parts_mut(cbase.add(i * ccols), n) };
-                for v in row {
-                    *v *= beta;
-                }
-            }
+    let cbase = c.as_mut_slice().as_mut_ptr();
+    let mut ic = 0;
+    while ic < m {
+        let mc = MC.min(m - ic);
+        pack_a(op_a, a, ic, mc, 0, k, &mut ws.pack_a);
+        // SAFETY: `cbase` addresses the whole `m × n` output, and the
+        // `mc × n` block at row `ic` lies inside it.
+        unsafe {
+            macro_kernel(
+                alpha,
+                (mc, n, k),
+                &ws.pack_a,
+                &b.data,
+                cbase,
+                ccols,
+                ic,
+                0,
+                kernel,
+                store,
+            );
         }
-        let mut ic = rows.start;
-        while ic < rows.end {
-            let mc = MC.min(rows.end - ic);
-            pack_a(op_a, a, ic, mc, 0, k, &mut ws.pack_a);
-            // SAFETY: the `mc × n` block at row `ic` is inside the
-            // caller's exclusive range.
-            unsafe {
-                macro_kernel(
-                    alpha,
-                    (mc, n, k),
-                    &ws.pack_a,
-                    &b.data,
-                    cbase,
-                    ccols,
-                    ic,
-                    0,
-                    kernel,
-                    store,
-                );
-            }
-            ic += MC;
-        }
-    };
-    let (threads, _) = plan_threads(m, n, k);
-    // Row split only: prepacked products always share the one B panel.
-    let threads = threads.min(m.div_ceil(MR));
-    // Same telemetry as the on-the-fly blocked path.
-    let work = m.saturating_mul(n).saturating_mul(k);
-    let _span = if telemetry::enabled() {
-        telemetry::record(telemetry::Metric::GemmFlops, 2 * work as u64);
-        if threads > 1 {
-            telemetry::record(telemetry::Metric::GemmSplitWidth, threads as u64);
-        }
-        (work >= GEMM_PARALLEL_MIN_WORK)
-            .then(|| telemetry::span_with(telemetry::SpanId::Gemm, threads as u64))
-    } else {
-        None
-    };
-    if threads <= 1 {
-        row_region(c.as_mut_slice().as_mut_ptr(), ws, 0..m);
-    } else {
-        let cbase = SendPtr(c.as_mut_slice().as_mut_ptr());
-        let tiles = m.div_ceil(MR);
-        crate::pool::run(threads, &|slot| {
-            let (r0, r1) = slot_range(slot, threads, tiles, MR, m);
-            PARALLEL_WS.with(|cell| {
-                row_region(cbase.get(), &mut cell.borrow_mut(), r0..r1);
-            });
-        });
+        ic += MC;
     }
     for i in 0..m {
         epilogue.apply(i, 0, c.row_mut(i));

@@ -9,13 +9,11 @@
 //! - [`gemm`] / [`gemm_with`]: a cache-blocked, register-tiled GEMM engine
 //!   covering all `op(A)·op(B)` shapes with packed panels held in a
 //!   reusable [`GemmWorkspace`] and fused output epilogues — the training
-//!   kernel behind the DNN-Opt critic/actor networks. Large products
-//!   split across the shared [`pool`] into static tile-aligned panels,
-//!   bit-identical to serial at any thread count.
-//! - [`pool`]: the process-wide worker pool behind both the threaded GEMM
-//!   and the optimizer's population grid, sized by `DNNOPT_THREADS` /
-//!   [`pool::set_max_threads`], with a two-level budget so nested GEMMs
-//!   stay serial while a grid dispatch holds the cores.
+//!   kernel behind the DNN-Opt critic/actor networks. Every product runs
+//!   serially on the calling thread.
+//! - [`pool`]: the process-wide worker pool behind the optimizer's
+//!   population grid (and the etree-parallel supernodal replay), sized by
+//!   `DNNOPT_THREADS` / [`pool::set_max_threads`].
 //! - [`Lu`]: partially pivoted LU factorization for the real MNA systems of
 //!   the circuit simulator and as a general linear solver.
 //! - [`CscMatrix`] and [`SparseLu`]: KLU-style sparse LU with a recorded
@@ -65,7 +63,7 @@ pub use cholesky::{Cholesky, CholeskyWorkspace};
 pub use complex::{ComplexLu, ComplexLuWorkspace, C64};
 pub use gemm::{
     gemm, gemm_naive, gemm_naive_with, gemm_prepacked_with, gemm_with, pack_b_into, Epilogue,
-    GemmOp, GemmWorkspace, NoEpilogue, PackedB, GEMM_NAIVE_CUTOFF, GEMM_PARALLEL_MIN_WORK,
+    GemmOp, GemmWorkspace, NoEpilogue, PackedB, GEMM_NAIVE_CUTOFF,
 };
 pub use lu::{Lu, LuWorkspace};
 pub use matrix::Matrix;

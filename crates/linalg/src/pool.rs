@@ -1,20 +1,13 @@
-//! Process-wide worker pool and the two-level thread budget.
+//! Process-wide worker pool and thread budget.
 //!
-//! Both parallel layers of the workspace — the candidate×corner×analysis
-//! evaluation grid in `opt::parallel` and the threaded GEMM path in
-//! [`crate::gemm`] — draw workers from the single pool in this module, so
-//! the process never oversubscribes the host no matter how the layers
-//! nest. The budget is strictly two-level:
+//! The workspace has one parallel layer, the candidate×corner×analysis
+//! evaluation grid in `opt::parallel`, and it draws its workers from the
+//! pool in this module. The sparse LU's etree-parallel supernodal replay
+//! uses the same pool, but only when it is called outside a pool job, so
+//! it never nests inside a grid fan-out. GEMM is always serial (see
+//! [`crate::gemm`]).
 //!
-//! - the **evaluation grid** gets the full thread budget. While a grid
-//!   fan-out is in flight (tracked by [`grid_scope`]), [`gemm_threads`]
-//!   reports `1`, so any GEMM issued from inside a worker runs serial —
-//!   the grid already owns every core.
-//! - **GEMM** goes parallel only when the grid is idle — exactly the
-//!   critic/actor training windows between optimizer generations, which
-//!   is where the multi-threaded GEMM payoff lives.
-//!
-//! The budget itself comes from [`max_threads`]: a programmatic
+//! The budget comes from [`max_threads`]: a programmatic
 //! [`set_max_threads`] override if set, else the `DNNOPT_THREADS`
 //! environment variable, else the machine's available parallelism. `1`
 //! forces fully serial execution everywhere.
@@ -30,8 +23,7 @@
 //!
 //! Workers are spawned lazily up to the largest slot count ever requested
 //! and then persist for the life of the process, parked on a condvar
-//! between jobs. This keeps repeated small dispatches (one per GEMM inside
-//! a training loop) cheap: no thread spawn/join per call.
+//! between jobs, so a dispatch costs a wake-up, not a thread spawn/join.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,10 +32,6 @@ use std::sync::{Condvar, Mutex, OnceLock};
 /// 0 = "not set, use the environment/hardware default".
 static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Number of evaluation-grid fan-outs currently in flight (see
-/// [`grid_scope`]).
-static GRID_ACTIVE: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
     /// True on pool worker threads and on a caller while it runs slot 0 of
     /// a dispatched job: any nested [`run`] must degrade to inline serial
@@ -51,9 +39,9 @@ thread_local! {
     static IN_POOL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Overrides the process-wide thread budget for both the evaluation grid
-/// and GEMM. `1` forces fully serial execution; `0` restores the default
-/// (`DNNOPT_THREADS`, else available parallelism).
+/// Overrides the process-wide thread budget. `1` forces fully serial
+/// execution; `0` restores the default (`DNNOPT_THREADS`, else available
+/// parallelism).
 pub fn set_max_threads(n: usize) {
     MAX_THREADS.store(n, Ordering::Relaxed);
 }
@@ -74,40 +62,20 @@ pub fn max_threads() -> usize {
             return n;
         }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    // `available_parallelism` re-reads the cgroup quota files on every
+    // call, so the hardware count is read once per process.
+    static HARDWARE: OnceLock<usize> = OnceLock::new();
+    *HARDWARE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
-/// Marks an evaluation-grid fan-out as in flight for the guard's lifetime.
-/// While any grid scope is active, [`gemm_threads`] reports `1` (the grid
-/// owns the budget), implementing the two-level budget described in the
-/// module docs.
-pub fn grid_scope() -> GridGuard {
-    GRID_ACTIVE.fetch_add(1, Ordering::Relaxed);
-    GridGuard { _priv: () }
-}
-
-/// RAII guard returned by [`grid_scope`].
-#[derive(Debug)]
-pub struct GridGuard {
-    _priv: (),
-}
-
-impl Drop for GridGuard {
-    fn drop(&mut self) {
-        GRID_ACTIVE.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// The thread budget available to a GEMM issued *right now*: the full
-/// [`max_threads`] budget when the evaluation grid is idle and the caller
-/// is not itself a pool worker, `1` otherwise.
-pub fn gemm_threads() -> usize {
-    if GRID_ACTIVE.load(Ordering::Relaxed) > 0 || IN_POOL.with(|c| c.get()) {
-        return 1;
-    }
-    max_threads()
+/// True on pool worker threads and on a caller while it runs slot 0 of a
+/// dispatched job, where a nested [`run`] would execute inline.
+pub(crate) fn in_pool() -> bool {
+    IN_POOL.with(|c| c.get())
 }
 
 /// One pending dispatch: a lifetime-erased borrow of the caller's task
@@ -265,7 +233,7 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// caller's own slot-0 panic takes precedence over worker panics), so a
 /// panicking task never leaves the pool wedged.
 pub fn run(threads: usize, task: &(dyn Fn(usize) + Sync)) {
-    if threads <= 1 || IN_POOL.with(|c| c.get()) {
+    if threads <= 1 || in_pool() {
         for slot in 0..threads.max(1) {
             task(slot);
         }
@@ -306,7 +274,7 @@ pub fn run(threads: usize, task: &(dyn Fn(usize) + Sync)) {
     pool.work.notify_all();
 
     // The caller is slot 0. Mark it in-pool so nested dispatches (e.g. a
-    // GEMM inside a grid worker task) run inline.
+    // supernodal replay inside a grid worker task) run inline.
     IN_POOL.with(|c| c.set(true));
     let own = catch_unwind(AssertUnwindSafe(|| {
         let _busy = time_slot(0);
@@ -372,23 +340,6 @@ mod tests {
             });
         });
         assert_eq!(inner_hits.load(Ordering::Relaxed), 3 * 4);
-    }
-
-    #[test]
-    fn grid_scope_throttles_gemm_threads() {
-        set_max_threads(4);
-        assert_eq!(gemm_threads(), 4);
-        {
-            let _g = grid_scope();
-            assert_eq!(gemm_threads(), 1);
-            {
-                let _g2 = grid_scope();
-                assert_eq!(gemm_threads(), 1);
-            }
-            assert_eq!(gemm_threads(), 1);
-        }
-        assert_eq!(gemm_threads(), 4);
-        set_max_threads(0);
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //! Karatsuba-style 3M scheme `T1 = Are·Bre`, `T2 = Aim·Bim`,
 //! `T3 = (Are+Aim)·(Bre+Bim)` with `Cre = T1 − T2`,
 //! `Cim = T3 − T1 − T2` — inheriting the real kernel's determinism
-//! guarantee (threaded ≡ serial bit-identical) instead of duplicating a
-//! complex micro-kernel. Blocks that are written once and applied many
+//! instead of duplicating a complex micro-kernel. Blocks that are written once and applied many
 //! times cache their planes ([`Scalar::Planes`]) so only the small `B`
 //! operand splits per call. The real hook wraps its operands in
 //! [`Matrix`] headers without copying (`from_vec`/`into_vec` move the
@@ -94,8 +93,8 @@ pub trait Scalar:
     /// Dense product `c = a · b` with `a` row-major `m×k` and `b`
     /// row-major `k×n`; `c` is resized to `m·n`. Operands are taken by
     /// `&mut` so the `f64` impl can move the allocations into [`Matrix`]
-    /// headers copy-free; contents are unchanged on return. Must be
-    /// bit-identical at any thread count (delegates to [`crate::gemm`]).
+    /// headers copy-free; contents are unchanged on return. Delegates to
+    /// the serial [`crate::gemm`].
     fn gemm_nn(
         m: usize,
         n: usize,

@@ -23,9 +23,9 @@
 //!   pivotal order: a unit-lower triangular solve (TRSM) against the
 //!   updater's diagonal block finalizes the panel's U rows, and a product
 //!   with the updater's sub-diagonal block retires the rows below — both
-//!   blocked through the [`Scalar::gemm_nn`] hook into the [`crate::gemm`]
-//!   micro-kernel (serial inside grid workers per the two-level thread
-//!   budget), with a fused multiply-scatter fallback for small batches.
+//!   blocked through the [`Scalar::gemm_nn`] hook into the serial
+//!   [`crate::gemm`] micro-kernel, with a fused multiply-scatter fallback
+//!   for small batches.
 //!   Precomputed per-pair row maps and reached-column lists keep the
 //!   gathers direct and skip columns whose contribution is exactly zero;
 //! - the panel itself is factored dense blocked right-looking
@@ -75,15 +75,14 @@
 //!   pivot the serial walk would have tripped on first.
 //!
 //! Parallel dispatch engages only when the plan has ≥ 2 tasks, the
-//! weighted flop estimate clears [`PAR_MIN_FLOPS`], and the two-level
-//! thread budget grants workers (nested inside a grid dispatch it stays
-//! serial, like the threaded GEMM).
+//! weighted flop estimate clears [`PAR_MIN_FLOPS`], and the caller is not
+//! itself inside a pool job (nested inside a grid dispatch it stays
+//! serial).
 //!
 //! Determinism: the plan is a pure function of the recorded pattern, the
-//! panel walk is sequential within a task, and the only nested-parallel
-//! kernel ([`crate::gemm`]) is bit-identical to serial at any thread
-//! count — so the blocked replay satisfies the same serial ≡ parallel
-//! contract as the scalar one. To keep *fresh factor ≡ refactor*
+//! panel walk is sequential within a task, and the [`crate::gemm`] kernel
+//! it calls is serial — so the blocked replay satisfies the same
+//! serial ≡ parallel contract as the scalar one. To keep *fresh factor ≡ refactor*
 //! bit-identity on this path, [`SparseLuT::factor`] re-runs the blocked
 //! replay on the same values immediately after the scalar pivoting pass
 //! pins the pattern: stored factors always come from blocked arithmetic
@@ -253,8 +252,7 @@ impl<T: Scalar> Scratch<T> {
 
 /// Raw pointer wrapper the fixed-slot dispatch shares across workers. Each
 /// worker only dereferences indices its task partition owns, so the
-/// aliasing is disjoint by construction (same idiom as the threaded GEMM's
-/// tile writers).
+/// aliasing is disjoint by construction.
 struct SendPtr<T>(*mut T);
 
 impl<T> SendPtr<T> {
@@ -879,8 +877,8 @@ impl<T: Scalar> Supernodal<T> {
 
     /// Hybrid numeric replay of new values through the blocked plan (see
     /// the module docs for the shape), dispatching the etree task
-    /// partition over the shared pool when the thread budget and the flop
-    /// gate allow.
+    /// partition over the shared pool when the caller is outside a pool
+    /// job and the flop gate allows.
     ///
     /// # Errors
     ///
@@ -892,8 +890,12 @@ impl<T: Scalar> Supernodal<T> {
         a: &CscT<T>,
     ) -> Result<(), FactorError> {
         let ntasks = self.num_tasks();
-        let mut threads = pool::gemm_threads().min(ntasks);
-        if ntasks < 2 || self.block_flops.saturating_mul(T::FLOP_WEIGHT as u64) < PAR_MIN_FLOPS {
+        let mut threads = pool::max_threads().min(ntasks);
+        // Inside a pool job (a grid worker) the replay runs serial.
+        if pool::in_pool()
+            || ntasks < 2
+            || self.block_flops.saturating_mul(T::FLOP_WEIGHT as u64) < PAR_MIN_FLOPS
+        {
             threads = 1;
         }
         self.refactor_threads(lu, a, threads)

@@ -4,15 +4,9 @@ use linalg::{
     gemm, gemm_naive, gemm_prepacked_with, gemm_with, pack_b_into, Cholesky, CholeskyWorkspace,
     ComplexLu, ComplexLuWorkspace, CscComplexMatrix, CscMatrix, Epilogue, FactorError, GemmOp,
     GemmWorkspace, Lu, LuWorkspace, Matrix, NoEpilogue, PackedB, SparseComplexLu, SparseLu,
-    SupernodalMode, C64, GEMM_PARALLEL_MIN_WORK,
+    SupernodalMode, C64, GEMM_NAIVE_CUTOFF,
 };
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-/// The thread-count override is process-global; every test that flips it
-/// holds this lock so concurrent property tests never observe each
-/// other's setting mid-comparison.
-static THREADS_LOCK: Mutex<()> = Mutex::new(());
 
 /// A post-layout-style grid conductance matrix: a `rows`×`cols` mesh with
 /// nearest-neighbor, diagonal, and pitch-2 coupling conductances jittered
@@ -525,17 +519,25 @@ proptest! {
 
     /// The blocked GEMM agrees with the naive reference to ≤1e-12 relative
     /// for every op combination, alpha/beta case, and sizes straddling the
-    /// naive-dispatch cutoff (`m·n·k` here spans ~1 … 64·GEMM_NAIVE_CUTOFF).
+    /// naive-dispatch cutoff (`m·n·k` here spans ~1 … 128·GEMM_NAIVE_CUTOFF).
+    /// Half the cases draw `m`/`n` from 64..130/64..100, the shapes of
+    /// DNN-Opt's training products, which straddle the MR/NR/MC tile
+    /// boundaries. The same product through a prepacked `B` panel is
+    /// bit-identical to the blocked one.
     #[test]
     fn gemm_blocked_agrees_with_naive(
-        m in 1usize..40,
-        n in 1usize..40,
+        big in 0usize..2,
+        m_small in 1usize..40,
+        n_small in 1usize..40,
+        m_big in 64usize..130,
+        n_big in 64usize..100,
         k in 1usize..40,
         ops in 0usize..4,
         alpha in -2.0..2.0f64,
         beta_sel in 0usize..4,
         seed in proptest::collection::vec(-1.0..1.0f64, 32..200),
     ) {
+        let (m, n) = if big == 1 { (m_big, n_big) } else { (m_small, n_small) };
         let op_a = if ops & 1 == 0 { GemmOp::NoTrans } else { GemmOp::Trans };
         let op_b = if ops & 2 == 0 { GemmOp::NoTrans } else { GemmOp::Trans };
         let beta = [0.0, 1.0, -0.75, 0.5][beta_sel];
@@ -551,19 +553,34 @@ proptest! {
             let scale = 1.0f64.max(y.abs());
             prop_assert!((x - y).abs() <= 1e-12 * scale, "{} vs {}", x, y);
         }
+        if m * n * k > GEMM_NAIVE_CUTOFF {
+            let mut packed = PackedB::default();
+            pack_b_into(op_b, &b, &mut packed);
+            let mut c_pre = c0.clone();
+            gemm_prepacked_with(
+                op_a, alpha, &a, &packed, beta, &mut c_pre, &mut ws, &mut NoEpilogue,
+            );
+            for (x, y) in c_pre.as_slice().iter().zip(c_blocked.as_slice()) {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
     }
 
     /// The fused epilogue is exactly one application per element after the
     /// value is final: `gemm_with(epilogue)` must match `gemm` followed by
     /// the same transformation as a separate pass — bit for bit, on both
-    /// sides of the blocking cutoff.
+    /// sides of the blocking cutoff and on training-sized products.
     #[test]
     fn gemm_fused_epilogue_matches_separate_pass(
-        m in 1usize..36,
-        n in 1usize..36,
-        k in 1usize..36,
+        big in 0usize..2,
+        m_small in 1usize..36,
+        n_small in 1usize..36,
+        m_big in 64usize..130,
+        n_big in 64usize..100,
+        k in 1usize..40,
         seed in proptest::collection::vec(-1.0..1.0f64, 32..200),
     ) {
+        let (m, n) = if big == 1 { (m_big, n_big) } else { (m_small, n_small) };
         /// An affine per-column epilogue standing in for bias+activation.
         struct ColAffine<'a> {
             shift: &'a [f64],
@@ -593,113 +610,6 @@ proptest! {
             }
         }
         for (x, y) in fused.as_slice().iter().zip(separate.as_slice()) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-}
-
-proptest! {
-    // Threaded cases multiply large matrices; fewer cases keep the suite
-    // fast while the dimension ranges still straddle every tile boundary.
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// The threaded GEMM is **bit-identical** to the serial path for every
-    /// op combination and alpha/beta case, at even and odd thread counts.
-    /// Dimensions are drawn to clear `GEMM_PARALLEL_MIN_WORK` (so the
-    /// parallel split really engages) while straddling the MR/NR/MC tile
-    /// boundaries (64..130 covers multiples, off-by-one, and remainders).
-    #[test]
-    fn gemm_threaded_is_bit_identical_to_serial(
-        m in 64usize..130,
-        n in 64usize..100,
-        k in 16usize..40,
-        ops in 0usize..4,
-        alpha in -2.0..2.0f64,
-        beta_sel in 0usize..4,
-        threads_sel in 0usize..3,
-        seed in proptest::collection::vec(-1.0..1.0f64, 32..200),
-    ) {
-        // The dimension floors guarantee m·n·k ≥ GEMM_PARALLEL_MIN_WORK
-        // (64·64·16 is exactly the cutoff), so the split always engages.
-        assert!(m * n * k >= GEMM_PARALLEL_MIN_WORK);
-        let threads = [2usize, 3, 7][threads_sel];
-        let op_a = if ops & 1 == 0 { GemmOp::NoTrans } else { GemmOp::Trans };
-        let op_b = if ops & 2 == 0 { GemmOp::NoTrans } else { GemmOp::Trans };
-        let beta = [0.0, 1.0, -0.75, 0.5][beta_sel];
-        let a = gemm_operand(op_a, m, k, &seed, 0);
-        let b = gemm_operand(op_b, k, n, &seed, 7);
-        let c0 = Matrix::from_fn(m, n, |i, j| seed[(3 * i + 5 * j + 11) % seed.len()]);
-        let mut ws = GemmWorkspace::new();
-
-        let _lock = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        linalg::pool::set_max_threads(1);
-        let mut c_serial = c0.clone();
-        gemm(op_a, op_b, alpha, &a, &b, beta, &mut c_serial, &mut ws);
-        linalg::pool::set_max_threads(threads);
-        let mut c_threaded = c0.clone();
-        gemm(op_a, op_b, alpha, &a, &b, beta, &mut c_threaded, &mut ws);
-        linalg::pool::set_max_threads(0);
-
-        for (x, y) in c_threaded.as_slice().iter().zip(c_serial.as_slice()) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    /// Same bit-identity for the fused-epilogue and prepacked entry points
-    /// (the two paths the `nn` hot loop actually drives): the epilogue is
-    /// applied exactly once per final element no matter how the middle of
-    /// the product was split across workers.
-    #[test]
-    fn gemm_threaded_epilogue_and_prepacked_match_serial(
-        m in 64usize..130,
-        n in 64usize..100,
-        k in 16usize..40,
-        threads_sel in 0usize..3,
-        seed in proptest::collection::vec(-1.0..1.0f64, 32..200),
-    ) {
-        assert!(m * n * k >= GEMM_PARALLEL_MIN_WORK);
-        let threads = [2usize, 3, 7][threads_sel];
-        /// An affine per-column epilogue standing in for bias+activation.
-        struct ColAffine<'a> {
-            shift: &'a [f64],
-        }
-        impl Epilogue for ColAffine<'_> {
-            fn apply(&mut self, _row: usize, col0: usize, seg: &mut [f64]) {
-                let shift = &self.shift[col0..col0 + seg.len()];
-                for (v, &s) in seg.iter_mut().zip(shift) {
-                    *v = (*v + s).tanh();
-                }
-            }
-        }
-        let a = gemm_operand(GemmOp::NoTrans, m, k, &seed, 3);
-        let b = gemm_operand(GemmOp::NoTrans, k, n, &seed, 13);
-        let shift: Vec<f64> = (0..n).map(|j| seed[(j + 5) % seed.len()]).collect();
-        let mut ws = GemmWorkspace::new();
-        let mut packed = PackedB::default();
-        pack_b_into(GemmOp::NoTrans, &b, &mut packed);
-
-        let _lock = THREADS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let run = |threads: usize, ws: &mut GemmWorkspace, packed: &PackedB| {
-            linalg::pool::set_max_threads(threads);
-            let mut fused = Matrix::default();
-            gemm_with(
-                GemmOp::NoTrans, GemmOp::NoTrans, 1.0, &a, &b, 0.0,
-                &mut fused, ws, &mut ColAffine { shift: &shift },
-            );
-            let mut pre = Matrix::from_fn(m, n, |i, j| seed[(i + 2 * j) % seed.len()]);
-            gemm_prepacked_with(
-                GemmOp::NoTrans, 1.0, &a, packed, 0.5, &mut pre, ws, &mut NoEpilogue,
-            );
-            linalg::pool::set_max_threads(0);
-            (fused, pre)
-        };
-        let (fused_s, pre_s) = run(1, &mut ws, &packed);
-        let (fused_t, pre_t) = run(threads, &mut ws, &packed);
-
-        for (x, y) in fused_t.as_slice().iter().zip(fused_s.as_slice()) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
-        }
-        for (x, y) in pre_t.as_slice().iter().zip(pre_s.as_slice()) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
     }

@@ -24,11 +24,9 @@
 //! The worker count defaults to the machine's available parallelism,
 //! clamped by the `DNNOPT_THREADS` environment variable and overridable
 //! programmatically with [`set_max_threads`] (used by the determinism
-//! tests to compare serial and parallel runs). The cap is shared with the
-//! threaded GEMM path: while a fan-out from this module is in flight it
-//! holds a [`linalg::pool::grid_scope`] guard, so any GEMM issued from
-//! inside a worker runs serial instead of oversubscribing the host (the
-//! two-level thread budget — see [`linalg::pool`]).
+//! tests to compare serial and parallel runs). This grid is the pool's one
+//! parallel layer: everything a worker calls (GEMM, sparse refactors)
+//! runs serial on that worker, so a fan-out never oversubscribes the host.
 //!
 //! [`par_map_with`] additionally gives every worker thread a private
 //! context that lives for its whole share of the batch.
@@ -41,7 +39,7 @@
 //! a batch is in flight, shared across batches afterwards — without ever
 //! affecting results (enforced by `tests/parallel_determinism.rs`).
 
-// The budget lives in `linalg::pool` so the GEMM layer can see it too;
+// The budget lives in `linalg::pool` so the sparse replay can see it too;
 // re-exported here because the optimizer-facing API has always been
 // `opt::parallel::{set_max_threads, max_threads}`.
 pub use linalg::pool::{max_threads, set_max_threads};
@@ -146,9 +144,6 @@ where
         let out = items.iter().map(|item| catch(&mut ctx, item)).collect();
         return (out, vec![ctx]);
     }
-    // Hold the grid half of the two-level thread budget for the duration
-    // of the fan-out: GEMMs issued from inside a worker run serial.
-    let _grid = linalg::pool::grid_scope();
     // Worker `t` owns items `t, t + T, t + 2T, …` — the fixed round-robin
     // assignment. Each slot deposits its in-order partial results plus its
     // context; the mutexes are per-slot and uncontended (one writer each).

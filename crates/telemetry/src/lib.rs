@@ -206,7 +206,8 @@ pub enum Metric {
     WorkspaceMisses,
     /// Floating-point operations per GEMM call (`2·m·n·k`).
     GemmFlops,
-    /// Worker count per threaded GEMM dispatch (recorded when > 1).
+    /// Worker count per split GEMM (recorded when > 1). GEMM is serial,
+    /// so nothing records it; readers see an empty histogram.
     GemmSplitWidth,
     /// Nanoseconds from pool job post to a worker picking it up.
     PoolDispatchNs,
@@ -344,7 +345,7 @@ pub enum SpanId {
     Factor,
     /// One scan-free sparse refactorization.
     Refactor,
-    /// One blocked GEMM at or above the parallel work cutoff.
+    /// One blocked GEMM with `m·n·k ≥ 65 536`.
     Gemm,
     /// One critic training pass.
     CriticTrain,

@@ -343,3 +343,44 @@ fn unit_grid_attributes_failures_per_analysis() {
     assert!(!out[0].spec.is_failure(), "healthy without a plan");
     assert!(ev.history().robustness_report().by_analysis.is_empty());
 }
+
+/// Training GEMMs run serial: a traced DNN-Opt run at two pool threads
+/// records no split GEMM, and the only pool dispatches are the evaluation
+/// grid's fan-outs, each waking one worker at two threads. The critic is
+/// widened so its training products (128 × 48 × input width) sit above
+/// the 65 536-flop span cutoff, the shapes a threaded GEMM would split.
+#[test]
+fn training_gemms_never_dispatch_to_the_pool() {
+    let _l = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = Scoped;
+    let ota = FoldedCascodeOta::new();
+    let fom = Fom::new(100.0, vec![0.25; SizingProblem::num_constraints(&ota)]);
+    let dnn = DnnOpt::new(DnnOptConfig {
+        critic_batch: 128,
+        hidden: 48,
+        ..quick_cfg()
+    });
+
+    parallel::set_max_threads(2);
+    telemetry::install(Some(SinkKind::Summary));
+    telemetry::reset();
+    dnn.run(&ota, &fom, 14, StopPolicy::Exhaust, 3);
+    let summary = telemetry::finish().expect("plane is installed");
+
+    assert!(
+        summary.span_count(SpanId::Gemm) > 0,
+        "training issued GEMMs above the span cutoff"
+    );
+    assert!(
+        summary.metric(Metric::GemmSplitWidth).is_empty(),
+        "no GEMM split across workers"
+    );
+    // Every grid fan-out opens one `eval_batch` span (single-candidate
+    // batches open one too but never dispatch), so this bounds fan-outs.
+    let fan_outs = summary.span_count(SpanId::EvalBatch);
+    let dispatches = summary.metric(Metric::PoolDispatchNs).count;
+    assert!(
+        dispatches <= fan_outs,
+        "{dispatches} worker pick-ups for {fan_outs} grid fan-outs"
+    );
+}

@@ -1,12 +1,12 @@
 //! Thread-count invariance: the whole stack — population fan-out over the
 //! shared worker pool, the hierarchical candidate×corner×analysis grid,
-//! *and* the threaded GEMM under critic/actor training — must produce
+//! *and* critic/actor training — must produce
 //! bit-identical results at **any** thread count, not just serial vs "8".
 //!
 //! `tests/parallel_determinism.rs` pins serial ≡ 8-thread for the
 //! optimizer histories; this suite sweeps the awkward counts (1, 2, 7 —
 //! even splits, odd splits, more workers than work) and additionally pins
-//! the trained critic itself: two critics trained at different GEMM
+//! the trained critic itself: two critics trained at different pool
 //! thread counts must agree to the last bit on every probe prediction,
 //! which can only happen if their weights are bit-identical.
 
@@ -235,11 +235,9 @@ fn runs_are_bit_identical_at_every_thread_count() {
         }
     }
 
-    // --- The trained critic itself. Training shapes are chosen to clear
-    // the threaded-GEMM work cutoff (256×64 batches over a width-40
-    // input), so the forward/backward GEMMs really run split across the
-    // pool at threads > 1. Bit-identical probe predictions at every
-    // thread count ⇒ bit-identical weights.
+    // --- The trained critic itself, at training-sized shapes (256×64
+    // batches over a width-40 input). Bit-identical probe predictions at
+    // every thread count ⇒ bit-identical weights.
     let dim = 20;
     let n = 40;
     let mut rng = StdRng::seed_from_u64(13);
