@@ -9,14 +9,23 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// One `(label, m, n, k, op_a, op_b)` row per benchmarked product shape:
 /// the critic's batch-128 forward (`x·Wᵀ`), its weight gradient
-/// (`δᵀ·x`), and a panel-spanning square product.
+/// (`δᵀ·x`), its delta propagation (`δ·W`), and a panel-spanning square
+/// product.
 type Shape = (&'static str, usize, usize, usize, GemmOp, GemmOp);
 
-const SHAPES: [Shape; 5] = [
+const SHAPES: [Shape; 6] = [
     ("10x48x20_nt", 10, 48, 20, GemmOp::NoTrans, GemmOp::Trans),
     ("48x48x10_tn", 48, 48, 10, GemmOp::Trans, GemmOp::NoTrans),
     ("128x48x40_nt", 128, 48, 40, GemmOp::NoTrans, GemmOp::Trans),
     ("48x40x128_tn", 48, 40, 128, GemmOp::Trans, GemmOp::NoTrans),
+    (
+        "128x48x48_nn",
+        128,
+        48,
+        48,
+        GemmOp::NoTrans,
+        GemmOp::NoTrans,
+    ),
     (
         "160x160x160_nn",
         160,

@@ -480,17 +480,25 @@ pub mod baseline {
 
         // The GEMM-engine kernels (identical bodies to
         // `benches/gemm_kernels.rs`): naive reference vs cache-blocked
-        // register-tiled kernel on the critic's forward/weight-gradient
-        // shapes plus a panel-spanning square product.
+        // register-tiled kernel on the critic's forward, weight-gradient
+        // and delta-propagation shapes plus a panel-spanning square product.
         {
             use linalg::{gemm, gemm_naive, GemmOp, GemmWorkspace, Matrix};
             use rand::{rngs::StdRng, Rng, SeedableRng};
             let mut rng = StdRng::seed_from_u64(42);
-            let shapes: [(&str, usize, usize, usize, GemmOp, GemmOp); 5] = [
+            let shapes: [(&str, usize, usize, usize, GemmOp, GemmOp); 6] = [
                 ("10x48x20_nt", 10, 48, 20, GemmOp::NoTrans, GemmOp::Trans),
                 ("48x48x10_tn", 48, 48, 10, GemmOp::Trans, GemmOp::NoTrans),
                 ("128x48x40_nt", 128, 48, 40, GemmOp::NoTrans, GemmOp::Trans),
                 ("48x40x128_tn", 48, 40, 128, GemmOp::Trans, GemmOp::NoTrans),
+                (
+                    "128x48x48_nn",
+                    128,
+                    48,
+                    48,
+                    GemmOp::NoTrans,
+                    GemmOp::NoTrans,
+                ),
                 (
                     "160x160x160_nn",
                     160,

@@ -17,17 +17,30 @@
 //! - inside a panel, `MC`-tall row blocks of `op(A)` are packed into
 //!   [`GemmWorkspace::pack_a`] as `MR`-row micro-panels;
 //! - a register-tiled micro-kernel then computes `MR × NR` output tiles
-//!   (`4 × 8` f64 accumulators) from the two packed panels, walking both
-//!   with stride-1 loads and no transposition logic in the inner loop.
+//!   from the two packed panels, walking both with stride-1 loads and no
+//!   transposition logic in the inner loop.
 //!
 //! Packing handles both transposition and edge padding (partial tiles are
 //! zero-padded to full `MR`/`NR` width), so the micro-kernel is a single
-//! branch-free loop. On x86-64 hosts with AVX2+FMA a fused-multiply-add
-//! variant of the micro-kernel is selected once per process; everywhere
-//! else a portable scalar-tiled kernel runs. Small products (`m·n·k ≤`
-//! [`GEMM_NAIVE_CUTOFF`]) skip the packing machinery entirely and use the
-//! naive reference kernel, which is also exposed as [`gemm_naive`] for
-//! differential testing.
+//! branch-free loop.
+//!
+//! # Micro-kernels
+//!
+//! The tile shape belongs to the micro-kernel: `pack_a`, `pack_b`, the
+//! macro-kernel and the loop nest are generic over a `TileKernel`'s
+//! `MR`/`NR`, and each entry point picks the kernel once at its top. One
+//! kernel is selected per process, the fastest the host supports:
+//!
+//! - **AVX-512F** — an `8 × 16` tile, 8 rows × 2 `zmm` accumulators;
+//! - **AVX2+FMA** — a `4 × 8` tile, 4 rows × 2 `ymm` accumulators;
+//! - **portable** — a `4 × 8` scalar-tiled tile with separate multiply
+//!   and add, for every other host.
+//!
+//! A wider tile cannot be driven as smaller ones on a narrower ISA without
+//! losing the register reuse that makes it fast, hence one shape per ISA.
+//! Small products (`m·n·k ≤` [`GEMM_NAIVE_CUTOFF`]) skip the packing
+//! machinery entirely and use the naive reference kernel, which is also
+//! exposed as [`gemm_naive`] for differential testing.
 //!
 //! # Threading
 //!
@@ -40,12 +53,15 @@
 //!
 //! # Determinism
 //!
-//! The tiling is fixed (compile-time `MC`/`KC`/`NC`/`MR`/`NR`) and the
-//! per-element accumulation order depends only on the operand shapes, so
-//! repeated calls are bit-identical on a given host. The FMA and portable
-//! micro-kernels may differ in final-bit rounding (fused vs separate
-//! multiply-add), but the selection is constant for the lifetime of the
-//! process.
+//! The blocking is fixed (compile-time `MC`/`KC`/`NC`) and every kernel
+//! computes each output element as one chain: it starts from zero, adds
+//! the products over `p` in order within each `KC` panel, and is then
+//! `α`-scaled and stored or added. The two FMA kernels round every step
+//! of that chain exactly once, so they are bit-identical to each other
+//! whatever their tile shape; only the portable kernel (separate multiply
+//! and add) may differ in the final bits. The selection is constant for
+//! the lifetime of the process, so repeated calls are bit-identical on a
+//! given host.
 //!
 //! # Epilogues
 //!
@@ -116,10 +132,6 @@ impl GemmWorkspace {
     }
 }
 
-/// Micro-kernel tile height (rows of `C` per register tile).
-const MR: usize = 4;
-/// Micro-kernel tile width (columns of `C` per register tile).
-const NR: usize = 8;
 /// Row-panel height: rows of `op(A)` packed per inner block.
 const MC: usize = 128;
 /// Depth of one packed panel of the inner dimension.
@@ -134,6 +146,21 @@ pub const GEMM_NAIVE_CUTOFF: usize = 4096;
 /// `m·n·k` at or above which a blocked product opens a `gemm` telemetry
 /// span, so traced training loops don't drown in micro-product events.
 const GEMM_SPAN_MIN_WORK: usize = 65_536;
+
+/// Runs `$body` with `$k` bound to the token of the process's micro-kernel
+/// (see [`MicroKernel`]), so the loop nest it calls is monomorphized for
+/// that kernel's tile shape and the choice is made once per product.
+macro_rules! with_kernel {
+    ($k:ident => $body:expr) => {
+        match select_micro_kernel() {
+            #[cfg(target_arch = "x86_64")]
+            MicroKernel::Avx512($k) => $body,
+            #[cfg(target_arch = "x86_64")]
+            MicroKernel::Avx2($k) => $body,
+            MicroKernel::Portable($k) => $body,
+        }
+    };
+}
 
 /// General matrix multiply `C := α·op(A)·op(B) + β·C`.
 ///
@@ -186,7 +213,19 @@ pub fn gemm_with<E: Epilogue>(
     if m * n * k <= GEMM_NAIVE_CUTOFF {
         naive_body(op_a, op_b, alpha, a, b, beta, c, epilogue, (m, n, k));
     } else {
-        blocked_body(op_a, op_b, alpha, a, b, beta, c, ws, epilogue, (m, n, k));
+        with_kernel!(kernel => blocked_body(
+            kernel,
+            op_a,
+            op_b,
+            alpha,
+            a,
+            b,
+            beta,
+            c,
+            ws,
+            epilogue,
+            (m, n, k)
+        ));
     }
 }
 
@@ -316,10 +355,11 @@ fn scale_output(beta: f64, c: &mut Matrix) {
 }
 
 /// The Goto loop nest: `NC`-column blocks × `KC`-depth panels × `MC`-row
-/// blocks, packing into `ws` and merging through the micro-kernel, then
-/// the fused epilogue once every element is final.
+/// blocks, packing into `ws` in `kernel`'s tile layout and merging through
+/// its micro-kernel, then the fused epilogue once every element is final.
 #[allow(clippy::too_many_arguments)]
-fn blocked_body<E: Epilogue>(
+fn blocked_body<K: TileKernel, E: Epilogue>(
+    kernel: K,
     op_a: GemmOp,
     op_b: GemmOp,
     alpha: f64,
@@ -331,7 +371,6 @@ fn blocked_body<E: Epilogue>(
     epilogue: &mut E,
     (m, n, k): (usize, usize, usize),
 ) {
-    let kernel = select_micro_kernel();
     let _span = trace_product(m.saturating_mul(n).saturating_mul(k));
     scale_output(beta, c);
     let ccols = c.cols();
@@ -346,15 +385,16 @@ fn blocked_body<E: Epilogue>(
             // (the stale output is never read); later panels accumulate.
             let store = beta == 0.0 && pc == 0;
 
-            pack_b(op_b, b, pc, kc, jc, nc, &mut ws.pack_b);
+            pack_b::<K>(op_b, b, pc, kc, jc, nc, &mut ws.pack_b);
             let mut ic = 0;
             while ic < m {
                 let mc = MC.min(m - ic);
-                pack_a(op_a, a, ic, mc, pc, kc, &mut ws.pack_a);
+                pack_a::<K>(op_a, a, ic, mc, pc, kc, &mut ws.pack_a);
                 // SAFETY: `cbase` addresses the whole `m × n` output, and
                 // the `mc × nc` block at `(ic, jc)` lies inside it.
                 unsafe {
                     macro_kernel(
+                        kernel,
                         alpha,
                         (mc, nc, kc),
                         &ws.pack_a,
@@ -363,7 +403,6 @@ fn blocked_body<E: Epilogue>(
                         ccols,
                         ic,
                         jc,
-                        kernel,
                         store,
                     );
                 }
@@ -383,11 +422,15 @@ fn blocked_body<E: Epilogue>(
 /// once and reused across many products. The fast path for frozen weight
 /// matrices (e.g. the DNN-Opt critic inside the actor's training loop),
 /// whose panels would otherwise be re-packed on every call.
+///
+/// The layout depends on the micro-kernel's tile width, so the pack
+/// records the `NR` it was made with and [`gemm_prepacked_with`] checks it.
 #[derive(Debug, Clone, Default)]
 pub struct PackedB {
     data: Vec<f64>,
     k: usize,
     n: usize,
+    nr: usize,
 }
 
 impl PackedB {
@@ -434,8 +477,9 @@ fn debug_assert_finite_operand(m: &Matrix, name: &str) {
 }
 
 /// Packs `op(B)` into `out` for reuse with [`gemm_prepacked_with`]. The
-/// layout is identical to the per-call packing of [`gemm`], so prepacked
-/// products are bit-identical to blocked on-the-fly ones.
+/// layout is identical to the per-call packing of [`gemm`] with the
+/// process's micro-kernel, so prepacked products are bit-identical to
+/// blocked on-the-fly ones.
 ///
 /// # Panics
 ///
@@ -448,9 +492,21 @@ pub fn pack_b_into(op_b: GemmOp, b: &Matrix, out: &mut PackedB) {
         k <= KC && n <= NC,
         "pack_b_into supports single-panel operands only (k ≤ {KC}, n ≤ {NC})"
     );
-    pack_b(op_b, b, 0, k, 0, n, &mut out.data);
+    out.nr = with_kernel!(kernel => pack_single_panel(kernel, op_b, b, &mut out.data));
     out.k = k;
     out.n = n;
+}
+
+/// Packs the whole single-panel `op(B)` in `K`'s layout; returns its `NR`.
+fn pack_single_panel<K: TileKernel>(
+    _kernel: K,
+    op_b: GemmOp,
+    b: &Matrix,
+    buf: &mut Vec<f64>,
+) -> usize {
+    let (k, n) = op_b.dims(b);
+    pack_b::<K>(op_b, b, 0, k, 0, n, buf);
+    K::NR
 }
 
 /// `C := α·op(A)·B + β·C` with a pre-packed right operand: identical
@@ -459,8 +515,9 @@ pub fn pack_b_into(op_b: GemmOp, b: &Matrix, out: &mut PackedB) {
 ///
 /// # Panics
 ///
-/// Panics if the inner dimensions disagree, or if `beta != 0.0` and `C`
-/// has the wrong shape.
+/// Panics if the inner dimensions disagree, if `beta != 0.0` and `C`
+/// has the wrong shape, or if `b` was packed for a different micro-kernel
+/// tile width than the one this call runs.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_prepacked_with<E: Epilogue>(
     op_a: GemmOp,
@@ -474,28 +531,49 @@ pub fn gemm_prepacked_with<E: Epilogue>(
 ) {
     debug_assert_finite_operand(a, "A");
     let (m, ka) = op_a.dims(a);
-    let (k, n) = (b.k, b.n);
-    assert_eq!(ka, k, "inner dimensions must agree");
-    prepare_output(beta, m, n, c);
-    if m == 0 || n == 0 {
+    assert_eq!(ka, b.k, "inner dimensions must agree");
+    prepare_output(beta, m, b.n, c);
+    if m == 0 || b.n == 0 {
         return;
     }
-    let kernel = select_micro_kernel();
+    with_kernel!(kernel => prepacked_body(kernel, op_a, alpha, a, b, beta, c, ws, epilogue));
+}
+
+/// The loop nest of [`gemm_prepacked_with`]: the packed operand is a single
+/// panel (`k ≤ KC`), so it is just the `MC`-row loop over the shared `B`
+/// panel.
+#[allow(clippy::too_many_arguments)]
+fn prepacked_body<K: TileKernel, E: Epilogue>(
+    kernel: K,
+    op_a: GemmOp,
+    alpha: f64,
+    a: &Matrix,
+    b: &PackedB,
+    beta: f64,
+    c: &mut Matrix,
+    ws: &mut GemmWorkspace,
+    epilogue: &mut E,
+) {
+    assert_eq!(
+        b.nr,
+        K::NR,
+        "PackedB was packed for a different micro-kernel tile width"
+    );
+    let (m, n, k) = (c.rows(), b.n, b.k);
     let _span = trace_product(m.saturating_mul(n).saturating_mul(k));
     scale_output(beta, c);
-    // The packed operand is a single panel (k ≤ KC), so the loop nest is
-    // just the MC-row loop over the shared B panel.
     let store = beta == 0.0;
     let ccols = c.cols();
     let cbase = c.as_mut_slice().as_mut_ptr();
     let mut ic = 0;
     while ic < m {
         let mc = MC.min(m - ic);
-        pack_a(op_a, a, ic, mc, 0, k, &mut ws.pack_a);
+        pack_a::<K>(op_a, a, ic, mc, 0, k, &mut ws.pack_a);
         // SAFETY: `cbase` addresses the whole `m × n` output, and the
         // `mc × n` block at row `ic` lies inside it.
         unsafe {
             macro_kernel(
+                kernel,
                 alpha,
                 (mc, n, k),
                 &ws.pack_a,
@@ -504,7 +582,6 @@ pub fn gemm_prepacked_with<E: Epilogue>(
                 ccols,
                 ic,
                 0,
-                kernel,
                 store,
             );
         }
@@ -515,87 +592,109 @@ pub fn gemm_prepacked_with<E: Epilogue>(
     }
 }
 
-/// Packs the `mc × kc` block of `op(A)` at `(ic, pc)` into `MR`-row
+// Packing and the macro-kernel are generic over the tile only; kept out of
+// line so each exists once per tile shape rather than once per (tile,
+// epilogue) loop nest, which holds code size and peak RSS near a
+// single-kernel build at no measured end-to-end cost.
+
+/// Packs the `mc × kc` block of `op(A)` at `(ic, pc)` into `K::MR`-row
 /// micro-panels: panel `t` holds rows `ic + t·MR ..`, laid out so the
 /// micro-kernel reads `buf[t·kc·MR + p·MR + r]` with stride-1 `p` walks.
 /// Partial edge panels are zero-padded to full `MR` height.
-fn pack_a(op: GemmOp, a: &Matrix, ic: usize, mc: usize, pc: usize, kc: usize, buf: &mut Vec<f64>) {
-    let tiles = mc.div_ceil(MR);
-    let need = tiles * kc * MR;
+#[inline(never)]
+fn pack_a<K: TileKernel>(
+    op: GemmOp,
+    a: &Matrix,
+    ic: usize,
+    mc: usize,
+    pc: usize,
+    kc: usize,
+    buf: &mut Vec<f64>,
+) {
+    // A row of op(A) is a row of `a` unless transposed.
+    let lanes_are_rows = op == GemmOp::NoTrans;
+    pack_panels(a, lanes_are_rows, K::MR, (ic, mc), (pc, kc), buf);
+}
+
+/// Packs the `kc × nc` block of `op(B)` at `(pc, jc)` into `K::NR`-column
+/// micro-panels (`buf[u·kc·NR + p·NR + j]`), zero-padding partial edge
+/// panels to full `NR` width.
+#[inline(never)]
+fn pack_b<K: TileKernel>(
+    op: GemmOp,
+    b: &Matrix,
+    pc: usize,
+    kc: usize,
+    jc: usize,
+    nc: usize,
+    buf: &mut Vec<f64>,
+) {
+    // A column of op(B) is a row of `b` only when transposed.
+    let lanes_are_rows = op == GemmOp::Trans;
+    pack_panels(b, lanes_are_rows, K::NR, (jc, nc), (pc, kc), buf);
+}
+
+/// The packing shared by both operands: the block of lanes
+/// `lane0 .. lane0 + lanes` (rows of `op(A)` or columns of `op(B)`) at
+/// depths `p0 .. p0 + kc` goes into `w`-lane micro-panels,
+/// `buf[t·kc·w + p·w + l]` = lane `lane0 + t·w + l` at depth `p0 + p`.
+/// A lane is a row of `src` when `lanes_are_rows` (a transposing gather)
+/// and a column otherwise (one contiguous copy per depth). Partial edge
+/// panels are zero-padded to full `w`. Inlined so `w` is the tile's
+/// constant and full-width copies are fixed-size moves.
+#[inline(always)]
+fn pack_panels(
+    src: &Matrix,
+    lanes_are_rows: bool,
+    w: usize,
+    (lane0, lanes): (usize, usize),
+    (p0, kc): (usize, usize),
+    buf: &mut Vec<f64>,
+) {
+    let tiles = lanes.div_ceil(w);
+    let need = tiles * kc * w;
     if buf.len() < need {
         buf.resize(need, 0.0);
     }
     for t in 0..tiles {
-        let base = t * kc * MR;
-        let mr = MR.min(mc - t * MR);
-        match op {
-            GemmOp::NoTrans => {
-                for r in 0..mr {
-                    let row = &a.row(ic + t * MR + r)[pc..pc + kc];
-                    for (p, &v) in row.iter().enumerate() {
-                        buf[base + p * MR + r] = v;
-                    }
+        // The buffer is reused across calls, so every element of the
+        // panel, padding lanes included, is written here.
+        let panel = &mut buf[t * kc * w..(t + 1) * kc * w];
+        let l0 = lane0 + t * w;
+        let width = w.min(lanes - t * w);
+        if lanes_are_rows {
+            if width < w {
+                panel.fill(0.0);
+            }
+            for l in 0..width {
+                let row = &src.row(l0 + l)[p0..p0 + kc];
+                for (dst, &v) in panel[l..].iter_mut().step_by(w).zip(row) {
+                    *dst = v;
                 }
             }
-            GemmOp::Trans => {
-                // Effective A[i][p] = a[p][i]: each source row is one `p`.
-                for p in 0..kc {
-                    let src = &a.row(pc + p)[ic + t * MR..ic + t * MR + mr];
-                    buf[base + p * MR..base + p * MR + mr].copy_from_slice(src);
+        } else {
+            for (p, chunk) in panel.chunks_exact_mut(w).enumerate() {
+                let row = &src.row(p0 + p)[l0..l0 + width];
+                if width == w {
+                    chunk.copy_from_slice(row);
+                } else {
+                    chunk[..width].copy_from_slice(row);
+                    chunk[width..].fill(0.0);
                 }
-            }
-        }
-        // Zero only the padding lanes of a partial edge tile (the buffer is
-        // reused across calls and may hold stale values there).
-        for p in 0..kc {
-            for r in mr..MR {
-                buf[base + p * MR + r] = 0.0;
             }
         }
     }
 }
 
-/// Packs the `kc × nc` block of `op(B)` at `(pc, jc)` into `NR`-column
-/// micro-panels (`buf[u·kc·NR + p·NR + j]`), zero-padding partial edge
-/// panels to full `NR` width.
-fn pack_b(op: GemmOp, b: &Matrix, pc: usize, kc: usize, jc: usize, nc: usize, buf: &mut Vec<f64>) {
-    let tiles = nc.div_ceil(NR);
-    let need = tiles * kc * NR;
-    if buf.len() < need {
-        buf.resize(need, 0.0);
-    }
-    for u in 0..tiles {
-        let base = u * kc * NR;
-        let nr = NR.min(nc - u * NR);
-        match op {
-            GemmOp::NoTrans => {
-                for p in 0..kc {
-                    let src = &b.row(pc + p)[jc + u * NR..jc + u * NR + nr];
-                    buf[base + p * NR..base + p * NR + nr].copy_from_slice(src);
-                }
-            }
-            GemmOp::Trans => {
-                // Effective B[p][j] = b[j][p]: each source row is one `j`.
-                for j in 0..nr {
-                    let src = &b.row(jc + u * NR + j)[pc..pc + kc];
-                    for (p, &v) in src.iter().enumerate() {
-                        buf[base + p * NR + j] = v;
-                    }
-                }
-            }
-        }
-        // Zero only the padding lanes of a partial edge tile.
-        for p in 0..kc {
-            for j in nr..NR {
-                buf[base + p * NR + j] = 0.0;
-            }
-        }
-    }
-}
+/// Elements in the largest register tile (`8 × 16`): the size of the
+/// stack tile that partial edge tiles are computed into.
+const TILE_MAX: usize = 128;
 
-/// Runs the register-tiled micro-kernel over every `MR × NR` tile of the
-/// packed `mc × nc` block and merges `α`-scaled results into the output
-/// (`store` replaces instead of accumulating — the first-panel fast path).
+/// Runs `kernel` over every `MR × NR` tile of the packed `mc × nc` block
+/// and merges `α`-scaled results into the output (`store` replaces
+/// instead of accumulating — the first-panel fast path). Full tiles go
+/// straight from registers into `C`; partial edge tiles are computed into
+/// a stack tile and only their in-bounds part is merged.
 ///
 /// # Safety
 ///
@@ -604,7 +703,9 @@ fn pack_b(op: GemmOp, b: &Matrix, pc: usize, kc: usize, jc: usize, nc: usize, bu
 /// `jc..jc + nc`, with no concurrent access to that block from any other
 /// thread.
 #[allow(clippy::too_many_arguments)]
-unsafe fn macro_kernel(
+#[inline(never)]
+unsafe fn macro_kernel<K: TileKernel>(
+    kernel: K,
     alpha: f64,
     (mc, nc, kc): (usize, usize, usize),
     pack_a: &[f64],
@@ -613,145 +714,219 @@ unsafe fn macro_kernel(
     ccols: usize,
     ic: usize,
     jc: usize,
-    kernel: MicroKernel,
     store: bool,
 ) {
-    let row_tiles = mc.div_ceil(MR);
-    let col_tiles = nc.div_ceil(NR);
+    const { assert!(K::MR * K::NR <= TILE_MAX && MC.is_multiple_of(K::MR) && NC.is_multiple_of(K::NR)) };
+    let row_tiles = mc.div_ceil(K::MR);
+    let col_tiles = nc.div_ceil(K::NR);
     for u in 0..col_tiles {
-        let jr = u * NR;
-        let nr = NR.min(nc - jr);
-        let bp = &pack_b[u * kc * NR..(u + 1) * kc * NR];
+        let jr = u * K::NR;
+        let nr = K::NR.min(nc - jr);
+        let bp = &pack_b[u * kc * K::NR..(u + 1) * kc * K::NR];
         for t in 0..row_tiles {
-            let ir = t * MR;
-            let mr = MR.min(mc - ir);
-            let ap = &pack_a[t * kc * MR..(t + 1) * kc * MR];
-            #[cfg(target_arch = "x86_64")]
-            if kernel == MicroKernel::Fma && mr == MR && nr == NR {
-                // Full tile on the FMA kernel: accumulate in registers and
-                // write α-scaled results straight into C — no stack
-                // spill + separate writeback pass. Identical arithmetic to
-                // the buffered path below.
+            let ir = t * K::MR;
+            let mr = K::MR.min(mc - ir);
+            let ap = &pack_a[t * kc * K::MR..(t + 1) * kc * K::MR];
+            if mr == K::MR && nr == K::NR {
                 // SAFETY: rows ic+ir .. ic+ir+MR and columns jc+jr .. +NR
-                // are in bounds (full tile), and the FMA features were
-                // detected at selection time.
+                // are in bounds (full tile) and exclusive to this call; both
+                // panel slices hold `kc` chunks.
                 unsafe {
                     let dst = cbase.add((ic + ir) * ccols + jc + jr);
-                    micro_kernel_fma_direct(ap, bp, dst, ccols, alpha, store);
+                    kernel.tile(ap, bp, dst, ccols, alpha, store);
                 }
                 continue;
             }
-            let mut acc = [[0.0f64; NR]; MR];
-            run_micro_kernel(ap, bp, &mut acc, kernel);
+            // Partial tile: α = 1 leaves each accumulated sum exactly as it
+            // is (x·1 = x), so the merge below applies the same single
+            // α-scale and store/add as the full-tile path.
+            let mut acc = [0.0f64; TILE_MAX];
+            // SAFETY: `acc` holds MR rows of NR doubles, NR apart, and both
+            // panel slices hold `kc` chunks.
+            unsafe { kernel.tile(ap, bp, acc.as_mut_ptr(), K::NR, 1.0, true) };
             for r in 0..mr {
                 // SAFETY: row ic+ir+r, columns jc+jr .. +nr are inside the
                 // caller-guaranteed exclusive block.
                 let crow = unsafe {
                     std::slice::from_raw_parts_mut(cbase.add((ic + ir + r) * ccols + jc + jr), nr)
                 };
-                if store {
-                    for (cv, &av) in crow.iter_mut().zip(&acc[r][..nr]) {
-                        *cv = alpha * av;
-                    }
-                } else {
-                    for (cv, &av) in crow.iter_mut().zip(&acc[r][..nr]) {
-                        *cv += alpha * av;
-                    }
+                merge_row(crow, &acc[r * K::NR..r * K::NR + nr], alpha, store);
+            }
+        }
+    }
+}
+
+/// `crow := α·acc` (`store`) or `crow += α·acc`, element-wise: the single
+/// α-scale and merge applied to every finished accumulator.
+#[inline]
+fn merge_row(crow: &mut [f64], acc: &[f64], alpha: f64, store: bool) {
+    if store {
+        for (cv, &av) in crow.iter_mut().zip(acc) {
+            *cv = alpha * av;
+        }
+    } else {
+        for (cv, &av) in crow.iter_mut().zip(acc) {
+            *cv += alpha * av;
+        }
+    }
+}
+
+/// A register-tiled micro-kernel. Its `MR × NR` output tile fixes the
+/// packing layout (`MR`-row panels of `op(A)`, `NR`-column panels of
+/// `op(B)`), and the loop nest is generic over it. A value of an
+/// implementing type is a token that the host can execute the kernel's
+/// instructions: tokens are only made by [`MicroKernel::supported`], after
+/// runtime feature detection.
+trait TileKernel: Copy {
+    /// Tile height (rows of `C` per register tile).
+    const MR: usize;
+    /// Tile width (columns of `C` per register tile).
+    const NR: usize;
+
+    /// Computes one full `MR × NR` tile from the packed panels `ap` (`kc`
+    /// chunks of `MR`) and `bp` (`kc` chunks of `NR`): each element's
+    /// products are accumulated from zero in `p` order, and the sum is
+    /// `α`-scaled and stored (`store`) or added into
+    /// `dst[r·row_stride + j]`.
+    ///
+    /// # Safety
+    ///
+    /// `ap.len() / MR == bp.len() / NR`, and `dst` must address `MR` rows
+    /// of `NR` writable doubles, `row_stride` apart, that nothing else
+    /// accesses during the call.
+    unsafe fn tile(
+        self,
+        ap: &[f64],
+        bp: &[f64],
+        dst: *mut f64,
+        row_stride: usize,
+        alpha: f64,
+        store: bool,
+    );
+}
+
+/// Which micro-kernel the host runs, holding that kernel's token.
+/// Selected once per process (the first entry of
+/// [`MicroKernel::supported`]), so the arithmetic is fixed for every call.
+/// The two FMA kernels are bit-identical to each other whatever their tile
+/// shapes, because each output element is the same chain of exactly
+/// rounded fused multiply-adds; only the portable kernel may differ from
+/// them in the final bits.
+#[derive(Debug, Clone, Copy)]
+enum MicroKernel {
+    /// `8 × 16` tiles of 512-bit fused multiply-adds (AVX-512F).
+    #[cfg(target_arch = "x86_64")]
+    Avx512(Avx512Kernel),
+    /// `4 × 8` tiles of 256-bit fused multiply-adds (AVX2+FMA).
+    #[cfg(target_arch = "x86_64")]
+    Avx2(Avx2Kernel),
+    /// `4 × 8` scalar-tiled kernel (separate multiply and add).
+    Portable(PortableKernel),
+}
+
+impl MicroKernel {
+    /// Every kernel this host can run, fastest first; the last is always
+    /// the portable kernel.
+    fn supported() -> Vec<MicroKernel> {
+        let mut kernels = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                kernels.push(MicroKernel::Avx512(Avx512Kernel(())));
+            }
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
+                kernels.push(MicroKernel::Avx2(Avx2Kernel(())));
+            }
+        }
+        kernels.push(MicroKernel::Portable(PortableKernel));
+        kernels
+    }
+}
+
+/// The process's micro-kernel: the fastest one the host supports.
+fn select_micro_kernel() -> MicroKernel {
+    #[cfg(test)]
+    if let Some(kernel) = tests::FORCED_KERNEL.get() {
+        return kernel;
+    }
+    static SELECTED: std::sync::OnceLock<MicroKernel> = std::sync::OnceLock::new();
+    *SELECTED.get_or_init(|| MicroKernel::supported()[0])
+}
+
+/// Token of the portable kernel: `MR × NR` independent accumulator chains,
+/// one multiply-add per packed element pair. The `NR`-wide inner loop has
+/// no cross-lane dependencies, so it auto-vectorizes on any SIMD width.
+#[derive(Debug, Clone, Copy)]
+struct PortableKernel;
+
+impl TileKernel for PortableKernel {
+    const MR: usize = 4;
+    const NR: usize = 8;
+
+    unsafe fn tile(
+        self,
+        ap: &[f64],
+        bp: &[f64],
+        dst: *mut f64,
+        row_stride: usize,
+        alpha: f64,
+        store: bool,
+    ) {
+        let mut acc = [[0.0f64; Self::NR]; Self::MR];
+        for (av, bv) in ap.chunks_exact(Self::MR).zip(bp.chunks_exact(Self::NR)) {
+            for (accr, &a) in acc.iter_mut().zip(av) {
+                for (cv, &b) in accr.iter_mut().zip(bv) {
+                    *cv += a * b;
                 }
             }
         }
-    }
-}
-
-/// Which micro-kernel implementation the host runs. Selected once per
-/// process, so the accumulation arithmetic is fixed for every call; the
-/// two fused variants produce bit-identical results (both use exactly
-/// rounded fused multiply-adds in the same order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MicroKernel {
-    /// 256-bit fused multiply-add tiles.
-    #[cfg(target_arch = "x86_64")]
-    Fma,
-    /// Portable scalar-tiled kernel (separate multiply and add).
-    Reference,
-}
-
-/// Dispatches one `MR × NR` tile to the selected kernel.
-#[inline]
-fn run_micro_kernel(ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR], kernel: MicroKernel) {
-    match kernel {
-        // SAFETY: the variant is only constructed when AVX2+FMA were
-        // detected at runtime (see `select_micro_kernel`).
-        #[cfg(target_arch = "x86_64")]
-        MicroKernel::Fma => unsafe { micro_kernel_fma(ap, bp, acc) },
-        MicroKernel::Reference => micro_kernel_ref(ap, bp, acc),
-    }
-}
-
-/// Portable micro-kernel: `MR × NR` independent accumulator chains, one
-/// multiply-add per packed element pair. The `NR`-wide inner loop has no
-/// cross-lane dependencies, so it auto-vectorizes on any SIMD width.
-#[inline]
-fn micro_kernel_ref(ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
-    for (av, bv) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
-        for (accr, &a) in acc.iter_mut().zip(av) {
-            for (cv, &b) in accr.iter_mut().zip(bv) {
-                *cv += a * b;
-            }
+        for (r, accr) in acc.iter().enumerate() {
+            // SAFETY: the caller guarantees row r of the tile at `dst`.
+            let crow = unsafe { std::slice::from_raw_parts_mut(dst.add(r * row_stride), Self::NR) };
+            merge_row(crow, accr, alpha, store);
         }
     }
 }
 
-/// AVX2+FMA micro-kernel: the same arithmetic as [`micro_kernel_ref`] with
-/// exactly rounded fused multiply-adds, written with explicit 256-bit
-/// intrinsics — each tile row is two `ymm` accumulators, so every packed
-/// `A` element costs one broadcast and two FMAs. (The autovectorizer
-/// leaves the equivalent safe loop as 32 scalar FMAs, which measured ~2×
-/// slower.)
+/// Token of the AVX2+FMA kernel; constructed only after both features were
+/// detected at runtime.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn micro_kernel_fma(ap: &[f64], bp: &[f64], acc: &mut [[f64; NR]; MR]) {
-    use core::arch::x86_64::*;
-    const { assert!(NR == 8, "kernel is written for 8-wide (two ymm) tiles") };
-    // SAFETY: the packed panels hold `kc` complete `MR`/`NR` chunks and
-    // each acc row is exactly NR = 8 doubles (two ymm registers).
-    unsafe {
-        let mut c: [[__m256d; 2]; MR] = [[_mm256_setzero_pd(); 2]; MR];
-        for (cr, accr) in c.iter_mut().zip(acc.iter()) {
-            cr[0] = _mm256_loadu_pd(accr.as_ptr());
-            cr[1] = _mm256_loadu_pd(accr.as_ptr().add(4));
-        }
-        let kc = bp.len() / NR;
-        for p in 0..kc {
-            let b0 = _mm256_loadu_pd(bp.as_ptr().add(p * NR));
-            let b1 = _mm256_loadu_pd(bp.as_ptr().add(p * NR + 4));
-            let a = ap.as_ptr().add(p * MR);
-            for (r, cr) in c.iter_mut().enumerate() {
-                let av = _mm256_set1_pd(*a.add(r));
-                cr[0] = _mm256_fmadd_pd(av, b0, cr[0]);
-                cr[1] = _mm256_fmadd_pd(av, b1, cr[1]);
-            }
-        }
-        for (cr, accr) in c.iter().zip(acc.iter_mut()) {
-            _mm256_storeu_pd(accr.as_mut_ptr(), cr[0]);
-            _mm256_storeu_pd(accr.as_mut_ptr().add(4), cr[1]);
-        }
+#[derive(Debug, Clone, Copy)]
+struct Avx2Kernel(());
+
+#[cfg(target_arch = "x86_64")]
+impl TileKernel for Avx2Kernel {
+    const MR: usize = 4;
+    const NR: usize = 8;
+
+    unsafe fn tile(
+        self,
+        ap: &[f64],
+        bp: &[f64],
+        dst: *mut f64,
+        row_stride: usize,
+        alpha: f64,
+        store: bool,
+    ) {
+        // SAFETY: the token proves AVX2+FMA; the caller upholds the rest.
+        unsafe { avx2_tile(ap, bp, dst, row_stride, alpha, store) }
     }
 }
 
-/// Full-tile FMA micro-kernel writing `α`-scaled results directly into
-/// `C` (`dst` = `&mut c[i0][j0]`, rows `row_stride` apart): accumulates in
-/// registers from zero and skips the stack-buffer round trip of the
-/// buffered path. Same multiplies/adds in the same order, so the output
-/// bits match the buffered FMA path exactly.
+/// The AVX2+FMA `4 × 8` tile in explicit 256-bit intrinsics: each tile row
+/// is two `ymm` accumulators, so every packed `A` element costs one
+/// broadcast and two FMAs. (The autovectorizer leaves the equivalent safe
+/// loop as 32 scalar FMAs, which measured ~2× slower.)
 ///
 /// # Safety
 ///
-/// Requires AVX2+FMA, `MR` full rows of `NR` elements at `dst`, and packed
-/// panels holding complete `MR`/`NR` chunks.
+/// Requires AVX2+FMA and the [`TileKernel::tile`] contract for a `4 × 8`
+/// tile.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn micro_kernel_fma_direct(
+unsafe fn avx2_tile(
     ap: &[f64],
     bp: &[f64],
     dst: *mut f64,
@@ -760,11 +935,14 @@ unsafe fn micro_kernel_fma_direct(
     store: bool,
 ) {
     use core::arch::x86_64::*;
-    const { assert!(NR == 8, "kernel is written for 8-wide (two ymm) tiles") };
+    const MR: usize = Avx2Kernel::MR;
+    const NR: usize = Avx2Kernel::NR;
+    debug_assert_eq!(ap.len() / MR, bp.len() / NR);
+    // SAFETY: the panels hold `kc` complete MR/NR chunks and `dst` holds
+    // MR rows of NR = 8 doubles (two ymm each), per the caller.
     unsafe {
-        let mut c: [[__m256d; 2]; MR] = [[_mm256_setzero_pd(); 2]; MR];
-        let kc = bp.len() / NR;
-        for p in 0..kc {
+        let mut c = [[_mm256_setzero_pd(); 2]; MR];
+        for p in 0..bp.len() / NR {
             let b0 = _mm256_loadu_pd(bp.as_ptr().add(p * NR));
             let b1 = _mm256_loadu_pd(bp.as_ptr().add(p * NR + 4));
             let a = ap.as_ptr().add(p * MR);
@@ -790,28 +968,113 @@ unsafe fn micro_kernel_fma_direct(
     }
 }
 
+/// Token of the AVX-512F kernel; constructed only after the feature was
+/// detected at runtime.
 #[cfg(target_arch = "x86_64")]
-fn select_micro_kernel() -> MicroKernel {
-    use std::sync::OnceLock;
-    static SELECTED: OnceLock<MicroKernel> = OnceLock::new();
-    *SELECTED.get_or_init(|| {
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            MicroKernel::Fma
-        } else {
-            MicroKernel::Reference
-        }
-    })
+#[derive(Debug, Clone, Copy)]
+struct Avx512Kernel(());
+
+#[cfg(target_arch = "x86_64")]
+impl TileKernel for Avx512Kernel {
+    const MR: usize = 8;
+    const NR: usize = 16;
+
+    unsafe fn tile(
+        self,
+        ap: &[f64],
+        bp: &[f64],
+        dst: *mut f64,
+        row_stride: usize,
+        alpha: f64,
+        store: bool,
+    ) {
+        // SAFETY: the token proves AVX-512F; the caller upholds the rest.
+        unsafe { avx512_tile(ap, bp, dst, row_stride, alpha, store) }
+    }
 }
 
-#[cfg(not(target_arch = "x86_64"))]
-fn select_micro_kernel() -> MicroKernel {
-    MicroKernel::Reference
+/// The AVX-512F `8 × 16` tile: each tile row is two `zmm` accumulators (16
+/// of the 32 registers), so every packed `A` element costs one broadcast
+/// and two 8-wide FMAs, and each loaded `B` row feeds twice the rows of
+/// the AVX2 tile.
+///
+/// # Safety
+///
+/// Requires AVX-512F and the [`TileKernel::tile`] contract for an
+/// `8 × 16` tile.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn avx512_tile(
+    ap: &[f64],
+    bp: &[f64],
+    dst: *mut f64,
+    row_stride: usize,
+    alpha: f64,
+    store: bool,
+) {
+    use core::arch::x86_64::*;
+    const MR: usize = Avx512Kernel::MR;
+    const NR: usize = Avx512Kernel::NR;
+    debug_assert_eq!(ap.len() / MR, bp.len() / NR);
+    // SAFETY: the panels hold `kc` complete MR/NR chunks and `dst` holds
+    // MR rows of NR = 16 doubles (two zmm each), per the caller.
+    unsafe {
+        let mut c = [[_mm512_setzero_pd(); 2]; MR];
+        for p in 0..bp.len() / NR {
+            let b0 = _mm512_loadu_pd(bp.as_ptr().add(p * NR));
+            let b1 = _mm512_loadu_pd(bp.as_ptr().add(p * NR + 8));
+            let a = ap.as_ptr().add(p * MR);
+            for (r, cr) in c.iter_mut().enumerate() {
+                let av = _mm512_set1_pd(*a.add(r));
+                cr[0] = _mm512_fmadd_pd(av, b0, cr[0]);
+                cr[1] = _mm512_fmadd_pd(av, b1, cr[1]);
+            }
+        }
+        let va = _mm512_set1_pd(alpha);
+        for (r, cr) in c.iter().enumerate() {
+            let row = dst.add(r * row_stride);
+            let lo = _mm512_mul_pd(va, cr[0]);
+            let hi = _mm512_mul_pd(va, cr[1]);
+            if store {
+                _mm512_storeu_pd(row, lo);
+                _mm512_storeu_pd(row.add(8), hi);
+            } else {
+                _mm512_storeu_pd(row, _mm512_add_pd(_mm512_loadu_pd(row), lo));
+                _mm512_storeu_pd(row.add(8), _mm512_add_pd(_mm512_loadu_pd(row.add(8)), hi));
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Per-thread override of [`select_micro_kernel`], so one test can
+        /// run every kernel the host supports on the same operands.
+        pub(super) static FORCED_KERNEL: Cell<Option<MicroKernel>> = const { Cell::new(None) };
+    }
+
+    /// Runs `f` with every GEMM on this thread using `kernel`.
+    fn with_forced_kernel<R>(kernel: MicroKernel, f: impl FnOnce() -> R) -> R {
+        FORCED_KERNEL.set(Some(kernel));
+        let out = f();
+        FORCED_KERNEL.set(None);
+        out
+    }
+
+    /// `(name, MR, NR, fused multiply-add?)` of a kernel.
+    fn describe(kernel: MicroKernel) -> (&'static str, usize, usize, bool) {
+        match kernel {
+            #[cfg(target_arch = "x86_64")]
+            MicroKernel::Avx512(_) => ("avx512f", Avx512Kernel::MR, Avx512Kernel::NR, true),
+            #[cfg(target_arch = "x86_64")]
+            MicroKernel::Avx2(_) => ("avx2+fma", Avx2Kernel::MR, Avx2Kernel::NR, true),
+            MicroKernel::Portable(_) => ("portable", PortableKernel::MR, PortableKernel::NR, false),
+        }
+    }
 
     fn filled(rows: usize, cols: usize, f: impl Fn(usize, usize) -> f64) -> Matrix {
         Matrix::from_fn(rows, cols, f)
@@ -828,8 +1091,8 @@ mod tests {
     #[test]
     fn blocked_matches_naive_across_panel_boundaries() {
         // m spans two MC panels, k spans two KC panels, edges not multiples
-        // of MR/NR — every padding path is exercised.
-        let (m, n, k) = (MC + 3, NR * 2 + 5, KC + 7);
+        // of any tile's MR/NR — every padding path is exercised.
+        let (m, n, k) = (MC + 3, 37, KC + 7);
         let a = filled(m, k, |i, j| ((i * 31 + j * 17) % 23) as f64 * 0.37 - 3.0);
         let b = filled(k, n, |i, j| ((i * 13 + j * 29) % 19) as f64 * 0.23 - 1.5);
         let mut ws = GemmWorkspace::new();
@@ -1023,6 +1286,181 @@ mod tests {
             1.0,
             &mut c,
             &mut ws,
+        );
+    }
+
+    /// Bias-add + tanh, the shape of the MLP forward epilogue.
+    struct BiasTanh(Vec<f64>);
+
+    impl Epilogue for BiasTanh {
+        fn apply(&mut self, _row: usize, col0: usize, seg: &mut [f64]) {
+            for (j, v) in seg.iter_mut().enumerate() {
+                *v = (*v + self.0[col0 + j]).tanh();
+            }
+        }
+    }
+
+    /// Every product one kernel computes in [`cross_kernel_bit_identity`],
+    /// in a fixed order: plain `gemm` over every op pair and β, then the
+    /// fused epilogue, then prepacked `B` where it fits one panel.
+    fn cross_kernel_products(
+        kernel: MicroKernel,
+        shapes: &[(usize, usize, usize)],
+    ) -> (Vec<Matrix>, Vec<Matrix>) {
+        let ops = [GemmOp::NoTrans, GemmOp::Trans];
+        let mut ws = GemmWorkspace::new();
+        let (mut got, mut reference) = (Vec::new(), Vec::new());
+        for &(m, n, k) in shapes {
+            let c0 = filled(m, n, |i, j| ((i * 5 + j * 3) as f64 * 0.11).cos());
+            for op_a in ops {
+                for op_b in ops {
+                    let a = match op_a {
+                        GemmOp::NoTrans => {
+                            filled(m, k, |i, j| ((i * 7 + j * 13) as f64 * 0.1).sin())
+                        }
+                        GemmOp::Trans => filled(k, m, |i, j| ((i * 13 + j * 7) as f64 * 0.1).sin()),
+                    };
+                    let b = match op_b {
+                        GemmOp::NoTrans => {
+                            filled(k, n, |i, j| (0.3 * i as f64 - 0.7 * j as f64).cos())
+                        }
+                        GemmOp::Trans => {
+                            filled(n, k, |i, j| (0.3 * j as f64 - 0.7 * i as f64).cos())
+                        }
+                    };
+                    for beta in [0.0, 1.0, 0.5] {
+                        let mut c = c0.clone();
+                        with_forced_kernel(kernel, || {
+                            gemm(op_a, op_b, 1.3, &a, &b, beta, &mut c, &mut ws)
+                        });
+                        let mut expect = c0.clone();
+                        gemm_naive(op_a, op_b, 1.3, &a, &b, beta, &mut expect);
+                        got.push(c);
+                        reference.push(expect);
+                    }
+                    let bias: Vec<f64> = (0..n).map(|j| 0.01 * j as f64 - 0.2).collect();
+                    let mut c = Matrix::default();
+                    with_forced_kernel(kernel, || {
+                        let mut epi = BiasTanh(bias.clone());
+                        gemm_with(op_a, op_b, 0.7, &a, &b, 0.0, &mut c, &mut ws, &mut epi)
+                    });
+                    let mut expect = Matrix::default();
+                    gemm_naive_with(
+                        op_a,
+                        op_b,
+                        0.7,
+                        &a,
+                        &b,
+                        0.0,
+                        &mut expect,
+                        &mut BiasTanh(bias),
+                    );
+                    got.push(c);
+                    reference.push(expect);
+                    if let Some(c) = with_forced_kernel(kernel, || {
+                        let packed = PackedB::try_pack(op_b, &b)?;
+                        let mut c = c0.clone();
+                        gemm_prepacked_with(
+                            op_a,
+                            0.9,
+                            &a,
+                            &packed,
+                            0.5,
+                            &mut c,
+                            &mut ws,
+                            &mut NoEpilogue,
+                        );
+                        Some(c)
+                    }) {
+                        let mut expect = c0.clone();
+                        gemm_naive(op_a, op_b, 0.9, &a, &b, 0.5, &mut expect);
+                        got.push(c);
+                        reference.push(expect);
+                    }
+                }
+            }
+        }
+        (got, reference)
+    }
+
+    #[test]
+    fn cross_kernel_bit_identity() {
+        let shapes = [
+            // The critic's forward, weight-gradient and propagation shapes.
+            (128, 48, 40),
+            (48, 40, 128),
+            (128, 48, 30),
+            // m and n not multiples of 4, 8 or 16.
+            (13, 21, 37),
+            (67, 45, 29),
+            (130, 37, 19),
+            // k > KC: two panels, the second accumulating.
+            (37, 29, KC + 44),
+            (9, 50, 2 * KC + 1),
+        ];
+        let kernels = MicroKernel::supported();
+        let mut fma_result: Option<(&str, Vec<Matrix>)> = None;
+        let mut covered = Vec::new();
+        for &kernel in &kernels {
+            let (name, mr, nr, fused) = describe(kernel);
+            covered.push(format!("{name} {mr}x{nr}"));
+            let (got, reference) = cross_kernel_products(kernel, &shapes);
+            for (c, expect) in got.iter().zip(&reference) {
+                assert_close(c, expect, 1e-12);
+            }
+            if !fused {
+                continue;
+            }
+            match &fma_result {
+                None => fma_result = Some((name, got)),
+                Some((first, first_got)) => {
+                    for (i, (x, y)) in got.iter().zip(first_got).enumerate() {
+                        let (x, y) = (x.as_slice(), y.as_slice());
+                        assert!(
+                            x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits()),
+                            "{name} differs from {first} in product {i}"
+                        );
+                    }
+                }
+            }
+        }
+        println!("cross-kernel GEMM check covered: {}", covered.join(", "));
+    }
+
+    #[test]
+    fn prepacked_rejects_a_foreign_tile_width() {
+        let kernels = MicroKernel::supported();
+        let (first, last) = (kernels[0], kernels[kernels.len() - 1]);
+        if describe(first).2 == describe(last).2 {
+            println!(
+                "skipped: every supported kernel has NR = {}",
+                describe(first).2
+            );
+            return;
+        }
+        let a = filled(40, 30, |i, j| (i + j) as f64);
+        let b = filled(30, 20, |i, j| i as f64 - j as f64);
+        let packed = with_forced_kernel(first, || PackedB::try_pack(GemmOp::NoTrans, &b))
+            .expect("one panel");
+        let result = std::panic::catch_unwind(|| {
+            let mut c = Matrix::default();
+            with_forced_kernel(last, || {
+                gemm_prepacked_with(
+                    GemmOp::NoTrans,
+                    1.0,
+                    &a,
+                    &packed,
+                    0.0,
+                    &mut c,
+                    &mut GemmWorkspace::new(),
+                    &mut NoEpilogue,
+                )
+            })
+        });
+        FORCED_KERNEL.set(None);
+        assert!(
+            result.is_err(),
+            "a PackedB of another tile width must be refused"
         );
     }
 }
