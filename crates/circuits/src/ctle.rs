@@ -16,7 +16,7 @@ use spice::{Circuit, SimOptions, SpiceError, Waveform, GND};
 
 use crate::measure;
 use crate::parasitics::{apply_parasitics, update_parasitics, ParasiticConfig};
-use crate::tech::{tech_advanced, Corner, CornerSet, Technology};
+use crate::tech::{tech_advanced, Corner, CornerPlanes, CornerSet, Technology};
 
 /// The CTLE sizing problem (12 variables — ~8 critical — and 14
 /// constraints).
@@ -35,9 +35,7 @@ pub struct Ctle {
     /// Output node ids `(op, on)`.
     outs: (usize, usize),
     /// The PVT scenario plane this instance evaluates across.
-    corners: CornerSet,
-    /// Evaluation planes for `corners[1..]` (plane 0 is this instance).
-    extra_planes: Vec<Ctle>,
+    corners: CornerPlanes<Ctle>,
 }
 
 impl Default for Ctle {
@@ -61,9 +59,8 @@ impl Ctle {
     ///
     /// Panics if the set is empty or the template fails to build.
     pub fn with_corners(corners: CornerSet) -> Self {
-        let (mut base, extras) = corners.split_planes(Self::build_plane);
-        base.corners = corners;
-        base.extra_planes = extras;
+        let (mut base, planes) = CornerPlanes::build(corners, Self::build_plane);
+        base.corners = planes;
         base
     }
 
@@ -77,8 +74,7 @@ impl Ctle {
             f_nyquist: 4e9,
             template: Circuit::new(),
             outs: (0, 0),
-            corners: CornerSet::single(*corner),
-            extra_planes: Vec::new(),
+            corners: CornerPlanes::single(*corner),
         };
         let (ckt, op_id, on_id) = ctle.build_topology().expect("CTLE template must build");
         ctle.template = ckt;
@@ -88,16 +84,7 @@ impl Ctle {
 
     /// The scenario plane this instance evaluates across.
     pub fn corners(&self) -> &CornerSet {
-        &self.corners
-    }
-
-    /// The evaluation plane of corner `k` (0 = this instance).
-    fn plane(&self, k: usize) -> &Ctle {
-        if k == 0 {
-            self
-        } else {
-            &self.extra_planes[k - 1]
-        }
+        self.corners.set()
     }
 
     /// A hand-tuned near-feasible design.
@@ -332,13 +319,13 @@ impl SizingProblem for Ctle {
     }
 
     fn corner_name(&self, k: usize) -> String {
-        self.corners.corners[k].label()
+        self.corners.label(k)
     }
 
     fn evaluate_corner(&self, x: &[f64], k: usize) -> SpecResult {
         // Deterministic fault-plane scope, keyed by candidate bits × corner.
         let _scope = spice::fault::candidate_scope(spice::fault::candidate_key(x, k as u64));
-        self.plane(k).evaluate_plane(x)
+        self.corners.plane(self, k).evaluate_plane(x)
     }
 
     fn evaluate(&self, x: &[f64]) -> SpecResult {

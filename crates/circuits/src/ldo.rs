@@ -17,7 +17,7 @@ use spice::{Circuit, SimOptions, SpiceError, Waveform, GND};
 
 use crate::measure;
 use crate::parasitics::{apply_parasitics, update_parasitics, ParasiticConfig};
-use crate::tech::{tech_advanced, Corner, CornerSet, Technology};
+use crate::tech::{tech_advanced, Corner, CornerPlanes, CornerSet, Technology};
 
 /// The LDO sizing problem (10 variables — ~6 critical — and 9 constraints).
 #[derive(Debug, Clone)]
@@ -45,9 +45,7 @@ pub struct Ldo {
     /// `fb_drive` node shifts them).
     nodes_open: (usize, usize),
     /// The PVT scenario plane this instance evaluates across.
-    corners: CornerSet,
-    /// Evaluation planes for `corners[1..]` (plane 0 is this instance).
-    extra_planes: Vec<Ldo>,
+    corners: CornerPlanes<Ldo>,
 }
 
 impl Default for Ldo {
@@ -73,9 +71,8 @@ impl Ldo {
     ///
     /// Panics if the set is empty or a template fails to build.
     pub fn with_corners(corners: CornerSet) -> Self {
-        let (mut base, extras) = corners.split_planes(Self::build_plane);
-        base.corners = corners;
-        base.extra_planes = extras;
+        let (mut base, planes) = CornerPlanes::build(corners, Self::build_plane);
+        base.corners = planes;
         base
     }
 
@@ -93,8 +90,7 @@ impl Ldo {
             template_open: Circuit::new(),
             nodes_closed: (0, 0),
             nodes_open: (0, 0),
-            corners: CornerSet::single(*corner),
-            extra_planes: Vec::new(),
+            corners: CornerPlanes::single(*corner),
         };
         let (closed, vout, vfb) = ldo
             .build_topology(false)
@@ -111,16 +107,7 @@ impl Ldo {
 
     /// The scenario plane this instance evaluates across.
     pub fn corners(&self) -> &CornerSet {
-        &self.corners
-    }
-
-    /// The evaluation plane of corner `k` (0 = this instance).
-    fn plane(&self, k: usize) -> &Ldo {
-        if k == 0 {
-            self
-        } else {
-            &self.extra_planes[k - 1]
-        }
+        self.corners.set()
     }
 
     /// A hand-tuned near-feasible design.
@@ -332,13 +319,13 @@ impl SizingProblem for Ldo {
     }
 
     fn corner_name(&self, k: usize) -> String {
-        self.corners.corners[k].label()
+        self.corners.label(k)
     }
 
     fn evaluate_corner(&self, x: &[f64], k: usize) -> SpecResult {
         // Deterministic fault-plane scope, keyed by candidate bits × corner.
         let _scope = spice::fault::candidate_scope(spice::fault::candidate_key(x, k as u64));
-        self.plane(k).evaluate_plane(x)
+        self.corners.plane(self, k).evaluate_plane(x)
     }
 
     fn evaluate(&self, x: &[f64]) -> SpecResult {

@@ -31,7 +31,7 @@ use spice::{Circuit, OpPoint, SimOptions, SpiceError, Waveform, GND};
 
 use crate::measure;
 use crate::mesh;
-use crate::tech::{tech_180nm, Corner, CornerSet, Technology};
+use crate::tech::{tech_180nm, Corner, CornerPlanes, CornerSet, Technology};
 
 /// Decoded design parameters (Table I).
 #[derive(Debug, Clone, PartialEq)]
@@ -136,12 +136,11 @@ pub struct FoldedCascodeOta {
     template_closed: Circuit,
     /// Output node ids `(out_p, out_n)` of the closed-loop template.
     closed_outs: (usize, usize),
-    /// The PVT scenario plane this instance evaluates across.
-    corners: CornerSet,
-    /// Fully-built evaluation planes for `corners[1..]` (plane 0 is this
-    /// instance itself): derated technology, corner-temperature options,
-    /// corner-retargeted templates.
-    extra_planes: Vec<FoldedCascodeOta>,
+    /// The PVT scenario plane this instance evaluates across, with the
+    /// fully-built planes of the non-reference corners (derated
+    /// technology, corner-temperature options, corner-retargeted
+    /// templates).
+    corners: CornerPlanes<FoldedCascodeOta>,
     /// Distributed-parasitic configuration when this is a post-layout
     /// plane: the templates carry per-node RC ladders and every resize
     /// refreshes their capacitance shares.
@@ -173,9 +172,8 @@ impl FoldedCascodeOta {
     ///
     /// Panics if the set is empty or a template fails to build.
     pub fn with_corners(corners: CornerSet) -> Self {
-        let (mut base, extras) = corners.split_planes(Self::build_plane);
-        base.corners = corners;
-        base.extra_planes = extras;
+        let (mut base, planes) = CornerPlanes::build(corners, Self::build_plane);
+        base.corners = planes;
         base
     }
 
@@ -251,8 +249,7 @@ impl FoldedCascodeOta {
             open_outs: (0, 0),
             template_closed: Circuit::new(),
             closed_outs: (0, 0),
-            corners: CornerSet::single(*corner),
-            extra_planes: Vec::new(),
+            corners: CornerPlanes::single(*corner),
             post_layout: None,
         };
         let (open, op_, on_) = ota
@@ -270,16 +267,7 @@ impl FoldedCascodeOta {
 
     /// The scenario plane this instance evaluates across.
     pub fn corners(&self) -> &CornerSet {
-        &self.corners
-    }
-
-    /// The evaluation plane of corner `k` (0 = this instance).
-    fn plane(&self, k: usize) -> &FoldedCascodeOta {
-        if k == 0 {
-            self
-        } else {
-            &self.extra_planes[k - 1]
-        }
+        self.corners.set()
     }
 
     /// A hand-tuned design that meets (or closely approaches) every Eq. 9
@@ -680,7 +668,7 @@ impl SizingProblem for FoldedCascodeOta {
     }
 
     fn corner_name(&self, k: usize) -> String {
-        self.corners.corners[k].label()
+        self.corners.label(k)
     }
 
     fn evaluate_corner(&self, x: &[f64], k: usize) -> SpecResult {
@@ -690,7 +678,7 @@ impl SizingProblem for FoldedCascodeOta {
         // both analyses, so direct corner evaluation keeps the legacy
         // whole-corner solve numbering.
         let _scope = spice::fault::candidate_scope(spice::fault::candidate_key(x, k as u64));
-        self.plane(k).evaluate_plane(x)
+        self.corners.plane(self, k).evaluate_plane(x)
     }
 
     fn num_analyses(&self) -> usize {
@@ -713,7 +701,7 @@ impl SizingProblem for FoldedCascodeOta {
         // within each analysis scope rather than across the whole corner.)
         let _scope = spice::fault::candidate_scope(spice::fault::candidate_key(x, k as u64));
         let _tb = telemetry::span_with(telemetry::SpanId::Testbench, a as u64);
-        let plane = self.plane(k);
+        let plane = self.corners.plane(self, k);
         match a {
             0 => plane.open_loop_analysis(x),
             1 => plane.closed_loop_analysis(x),

@@ -205,15 +205,6 @@ impl CornerSet {
         }
     }
 
-    /// A one-corner set holding `corner` — the per-plane bookkeeping set
-    /// each extra evaluation plane of a corner-capable testbench carries.
-    pub fn single(corner: Corner) -> Self {
-        CornerSet {
-            name: "plane",
-            corners: vec![corner],
-        }
-    }
-
     /// The standard 5-corner sign-off set: nominal, the two worst-case
     /// full-parallel corners (FF cold at +5% supply, SS hot at −5%), and
     /// the two mixed corners at nominal supply (SF hot, FS cold).
@@ -257,21 +248,6 @@ impl CornerSet {
         }
     }
 
-    /// Builds one evaluation plane per corner with `build` and splits off
-    /// the reference plane (corner 0) from the extras — the shared
-    /// scaffolding behind every corner-capable testbench's
-    /// `with_corners` constructor.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty set.
-    pub fn split_planes<T>(&self, build: impl FnMut(&Corner) -> T) -> (T, Vec<T>) {
-        assert!(!self.is_empty(), "corner set must not be empty");
-        let mut planes: Vec<T> = self.corners.iter().map(build).collect();
-        let base = planes.remove(0);
-        (base, planes)
-    }
-
     /// Number of corners in the set.
     pub fn len(&self) -> usize {
         self.corners.len()
@@ -280,6 +256,59 @@ impl CornerSet {
     /// True when the set is empty (never the case for the named sets).
     pub fn is_empty(&self) -> bool {
         self.corners.is_empty()
+    }
+}
+
+/// The corner scaffolding every corner-capable testbench shares: the
+/// scenario set plus one evaluation plane per corner after the first.
+/// Plane 0 is the testbench instance itself, passed in as `base`.
+#[derive(Debug, Clone)]
+pub(crate) struct CornerPlanes<T> {
+    set: CornerSet,
+    extra: Vec<T>,
+}
+
+impl<T> CornerPlanes<T> {
+    /// Builds one plane per corner of a non-empty `set` and splits off the
+    /// reference plane (corner 0) from the scaffolding holding the rest.
+    pub(crate) fn build(set: CornerSet, build: impl FnMut(&Corner) -> T) -> (T, Self) {
+        let mut extra: Vec<T> = set.corners.iter().map(build).collect();
+        assert!(!extra.is_empty(), "corner set must not be empty");
+        let base = extra.remove(0);
+        (base, CornerPlanes { set, extra })
+    }
+
+    /// The one-corner scaffolding each evaluation plane carries itself.
+    pub(crate) fn single(corner: Corner) -> Self {
+        let set = CornerSet {
+            name: "plane",
+            corners: vec![corner],
+        };
+        CornerPlanes {
+            set,
+            extra: Vec::new(),
+        }
+    }
+
+    /// The evaluation plane of corner `k` (0 = `base`).
+    pub(crate) fn plane<'a>(&'a self, base: &'a T, k: usize) -> &'a T {
+        if k == 0 {
+            base
+        } else {
+            &self.extra[k - 1]
+        }
+    }
+
+    pub(crate) fn set(&self) -> &CornerSet {
+        &self.set
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.set.len()
+    }
+
+    pub(crate) fn label(&self, k: usize) -> String {
+        self.set.corners[k].label()
     }
 }
 

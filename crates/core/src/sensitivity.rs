@@ -83,7 +83,11 @@ impl SensitivityReport {
             points.push(xp);
             points.push(xm);
         }
-        let specs = opt::parallel::par_map(&points, |x| spec_vector(x));
+        let (specs, _) = opt::parallel::try_par_map_with(&points, || (), |(), x| spec_vector(x));
+        let specs: Vec<Vec<f64>> = specs
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|msg| panic!("population evaluation worker panicked: {msg}")))
+            .collect();
         let mut s = Matrix::zeros(rows, d);
         for j in 0..d {
             let (fp, fm) = (&specs[2 * j], &specs[2 * j + 1]);

@@ -9,8 +9,10 @@
 //!
 //! The budget comes from [`max_threads`]: a programmatic
 //! [`set_max_threads`] override if set, else the `DNNOPT_THREADS`
-//! environment variable, else the machine's available parallelism. `1`
-//! forces fully serial execution everywhere.
+//! environment variable, else the machine's available parallelism. The
+//! variable is read once per process, on the first [`max_threads`] call;
+//! [`set_max_threads`] is the runtime override. `1` forces fully serial
+//! execution everywhere.
 //!
 //! # Determinism
 //!
@@ -48,27 +50,26 @@ pub fn set_max_threads(n: usize) {
 
 /// The thread budget currently in effect: [`set_max_threads`] if set, else
 /// the `DNNOPT_THREADS` environment variable, else the machine's available
-/// parallelism.
+/// parallelism. The default is resolved once per process: the variable is
+/// read, and the hardware queried, on the first call only.
 pub fn max_threads() -> usize {
     let forced = MAX_THREADS.load(Ordering::Relaxed);
     if forced > 0 {
         return forced;
     }
-    if let Some(n) = std::env::var("DNNOPT_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        if n > 0 {
-            return n;
-        }
-    }
     // `available_parallelism` re-reads the cgroup quota files on every
-    // call, so the hardware count is read once per process.
-    static HARDWARE: OnceLock<usize> = OnceLock::new();
-    *HARDWARE.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+    // call, and this runs on every batch, so both sources are read once.
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        std::env::var("DNNOPT_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            })
     })
 }
 

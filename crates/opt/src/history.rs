@@ -20,10 +20,9 @@ pub struct Evaluation {
     /// Whether all constraints were met (at every corner, for a corner
     /// problem — the merge is pessimal).
     pub feasible: bool,
-    /// Per-corner metric vectors, in corner order — populated when the
-    /// evaluation ran through the corner grid
-    /// ([`Evaluator::evaluate_corners`]); empty on the legacy
-    /// single-corner path.
+    /// Per-corner metric vectors, in corner order — populated for a
+    /// corner-indexed problem ([`SizingProblem::num_corners`] > 1); empty
+    /// for a single-corner problem.
     pub corner_specs: Vec<SpecResult>,
 }
 
@@ -277,11 +276,6 @@ impl std::fmt::Display for RobustnessReport {
     }
 }
 
-/// The failed outcome a caught testbench panic maps to.
-fn panic_spec(num_constraints: usize, message: String) -> SpecResult {
-    SpecResult::failed_with(num_constraints, FailureDiag::panic(message))
-}
-
 /// Budgeted, history-recording wrapper around a [`SizingProblem`]: the one
 /// object optimizers call to spend simulations.
 pub struct Evaluator<'a> {
@@ -304,186 +298,63 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Runs (and records) one expensive evaluation. A candidate of a
-    /// corner-indexed problem transparently runs the whole corner grid
-    /// ([`Evaluator::evaluate_corners`]) — optimizers stay unchanged and
-    /// consume the aggregated worst-case result.
+    /// Runs (and records) one expensive evaluation: a batch of one through
+    /// [`Evaluator::evaluate_batch`], so a corner- or analysis-indexed
+    /// candidate still fans its grid units out across worker threads —
+    /// optimizers stay unchanged and consume the aggregated worst-case
+    /// result.
     ///
     /// # Panics
     ///
     /// Panics if the budget is already exhausted; optimizers must check
     /// [`Evaluator::exhausted`] first.
     pub fn evaluate(&mut self, x: &[f64]) -> Evaluation {
-        if self.problem.num_corners() > 1 || self.problem.num_analyses() > 1 {
-            return self.evaluate_corners(x);
-        }
         assert!(!self.exhausted(), "simulation budget exhausted");
-        let t0 = Instant::now();
-        let problem = self.problem;
-        let spec = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _cand = telemetry::span(telemetry::SpanId::Candidate);
-            problem.evaluate(x)
-        }))
-        .unwrap_or_else(|payload| {
-            panic_spec(
-                problem.num_constraints(),
-                crate::parallel::panic_message(payload),
-            )
-        });
-        self.sim_time += t0.elapsed();
-        self.record(x.to_vec(), spec, Vec::new())
-    }
-
-    /// Expands one candidate into its corner grid, evaluates every corner,
-    /// and records the worst-case merge ([`SpecResult::worst_case`]) with
-    /// the per-corner metric vectors attached. One history entry (one unit
-    /// of budget) per *candidate*, regardless of corner count — the corner
-    /// plane multiplies simulator work, not the paper's "# of sims".
-    ///
-    /// Delegates to [`Evaluator::evaluate_corners_batch`] with a
-    /// single-candidate batch, so even one-candidate-per-iteration
-    /// optimizers (DNN-Opt's main loop, SA) fan the K corners out across
-    /// worker threads — bit-identical to the serial grid by the batch
-    /// path's ordering contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the budget is already exhausted.
-    pub fn evaluate_corners(&mut self, x: &[f64]) -> Evaluation {
-        assert!(!self.exhausted(), "simulation budget exhausted");
-        let xs = [x.to_vec()];
-        self.evaluate_corners_batch(&xs)
+        self.evaluate_batch(&[x.to_vec()])
             .pop()
             .expect("budget checked above")
     }
 
-    /// Evaluates a whole candidate population, fanning the expensive
-    /// simulations out over worker threads (see [`crate::parallel`]), and
-    /// records the results **in candidate order** — so histories, best
-    /// traces and first-feasible indices are bit-identical to evaluating
-    /// the same candidates serially, regardless of thread count.
+    /// Evaluates a candidate population — the one evaluation path. The
+    /// population is flattened into the **candidate×corner×analysis
+    /// grid** (`k = num_corners()` corners, `na = num_analyses()`
+    /// analyses; a nominal monolithic problem is the 1×1 case), in
+    /// `(i, c, a)` lexicographic order, and the grid is fanned out
+    /// round-robin over the worker pool (see [`crate::parallel`]), so
+    /// sub-candidate parallelism is available even for a
+    /// single-candidate-per-iteration optimizer.
     ///
-    /// Corner-indexed problems route through
-    /// [`Evaluator::evaluate_corners_batch`], which parallelizes over the
-    /// flattened candidate×corner grid.
+    /// Units are reassembled per (candidate, corner) with
+    /// [`AnalysisSpec::assemble`] — bit-identical to the monolithic
+    /// `evaluate_corner` by the [`SizingProblem::num_analyses`] contract —
+    /// and recorded **in candidate order**, so histories (including the
+    /// attached per-corner vectors) are bit-identical to the serial path
+    /// for any thread count. A single-corner problem records the
+    /// assembled result raw with no per-corner vectors; a corner problem
+    /// records the worst-case merge ([`SpecResult::worst_case`]) with the
+    /// per-corner vectors attached. One history entry (one unit of budget)
+    /// per *candidate*, regardless of grid size — the corner plane
+    /// multiplies simulator work, not the paper's "# of sims".
     ///
     /// At most [`Evaluator::remaining`] candidates are evaluated; the rest
     /// are silently dropped, which keeps optimizers' budget accounting a
     /// non-event. Returns the recorded evaluations.
     pub fn evaluate_batch(&mut self, xs: &[Vec<f64>]) -> Vec<Evaluation> {
-        if self.problem.num_corners() > 1 || self.problem.num_analyses() > 1 {
-            return self.evaluate_corners_batch(xs);
-        }
         let take = xs.len().min(self.remaining());
         let batch = &xs[..take];
         let problem = self.problem;
-        let _eb = telemetry::span_with(telemetry::SpanId::EvalBatch, take as u64);
-        // Each worker thread keeps one context for its whole chunk: a
-        // simulator-time accumulator here, and — inside the testbenches —
-        // pool-leased solver workspaces that are thereby reused across the
-        // chunk's candidates. Durations are timed inside the workers and
-        // summed, so `sim_time` keeps the same meaning as the serial
-        // `evaluate` path (total simulator time, not batch wall-clock) for
-        // any thread count.
-        // `try_par_map_with` catches per-candidate panics in both the
-        // serial and parallel paths, so a panicking testbench costs one
-        // diagnosed failed outcome instead of the whole batch — and the
-        // recorded history stays bit-identical for any thread count.
-        let (specs, worker_times) = crate::parallel::try_par_map_with(
-            batch,
-            || Duration::ZERO,
-            |spent, x| {
-                let _cand = telemetry::span(telemetry::SpanId::Candidate);
-                let t0 = Instant::now();
-                let spec = problem.evaluate(x);
-                *spent += t0.elapsed();
-                spec
-            },
-        );
-        self.sim_time += worker_times.iter().sum::<Duration>();
-        let m = problem.num_constraints();
-        let mut out = Vec::with_capacity(take);
-        for (x, spec) in batch.iter().zip(specs) {
-            let spec = spec.unwrap_or_else(|msg| panic_spec(m, msg));
-            out.push(self.record(x.clone(), spec, Vec::new()));
-        }
-        out
-    }
-
-    /// The batch variant of [`Evaluator::evaluate_corners`]: flattens the
-    /// population into the **candidate×corner grid** — or, when the
-    /// testbench exposes independent analyses
-    /// ([`SizingProblem::num_analyses`] > 1), the finer
-    /// **candidate×corner×analysis grid** — and fans that grid out over
-    /// worker threads, so sub-candidate parallelism is available even for
-    /// a single-candidate-per-iteration optimizer. Per-unit results are
-    /// regrouped in fixed (corner, analysis) order and recorded in
-    /// candidate order, so histories (including the attached per-corner
-    /// vectors) are bit-identical to the serial path for any thread count.
-    /// Workers reuse pool-leased per-topology solver workspaces across
-    /// their whole share of the grid, exactly like the candidate-level
-    /// path.
-    pub fn evaluate_corners_batch(&mut self, xs: &[Vec<f64>]) -> Vec<Evaluation> {
-        let take = xs.len().min(self.remaining());
-        let batch = &xs[..take];
-        let problem = self.problem;
-        let k = problem.num_corners();
-        let na = problem.num_analyses();
-        if na > 1 {
-            return self.evaluate_units_batch(batch, k, na);
-        }
-        let grid: Vec<(usize, usize)> = (0..take)
-            .flat_map(|i| (0..k).map(move |c| (i, c)))
-            .collect();
-        let _eb = telemetry::span_with(telemetry::SpanId::EvalBatch, grid.len() as u64);
-        // Per-grid-item panic isolation: one panicking corner evaluation
-        // becomes one diagnosed failed corner (which then dominates its
-        // candidate's worst-case merge), never a dead batch.
-        let (specs, worker_times) = crate::parallel::try_par_map_with(
-            &grid,
-            || Duration::ZERO,
-            |spent, &(i, c)| {
-                let _cand = telemetry::span_with(telemetry::SpanId::Candidate, i as u64);
-                let _corner = telemetry::span_with(telemetry::SpanId::Corner, c as u64);
-                let t0 = Instant::now();
-                let spec = problem.evaluate_corner(&batch[i], c);
-                *spent += t0.elapsed();
-                spec
-            },
-        );
-        self.sim_time += worker_times.iter().sum::<Duration>();
-        let m = problem.num_constraints();
-        let specs: Vec<SpecResult> = specs
-            .into_iter()
-            .map(|spec| spec.unwrap_or_else(|msg| panic_spec(m, msg)))
-            .collect();
-        let mut out = Vec::with_capacity(take);
-        for (i, x) in batch.iter().enumerate() {
-            let corner_specs = specs[i * k..(i + 1) * k].to_vec();
-            let spec = SpecResult::worst_case(&corner_specs);
-            out.push(self.record(x.clone(), spec, corner_specs));
-        }
-        out
-    }
-
-    /// The hierarchical leg of [`Evaluator::evaluate_corners_batch`]: the
-    /// flattened candidate×corner×analysis unit grid, in `(i, c, a)`
-    /// lexicographic order, fanned out round-robin over the worker pool.
-    /// Units are reassembled per (candidate, corner) with
-    /// [`AnalysisSpec::assemble`] — bit-identical to the monolithic
-    /// `evaluate_corner` by the [`SizingProblem::num_analyses`] contract —
-    /// and then merged/recorded exactly like the coarser grid. A
-    /// single-corner problem records the assembled nominal result raw
-    /// (no worst-case fold, no per-corner vectors), preserving the legacy
-    /// history shape.
-    fn evaluate_units_batch(&mut self, batch: &[Vec<f64>], k: usize, na: usize) -> Vec<Evaluation> {
-        let problem = self.problem;
-        let grid: Vec<(usize, usize, usize)> = (0..batch.len())
+        let (k, na) = (problem.num_corners(), problem.num_analyses());
+        let grid: Vec<(usize, usize, usize)> = (0..take)
             .flat_map(|i| (0..k).flat_map(move |c| (0..na).map(move |a| (i, c, a))))
             .collect();
         let _eb = telemetry::span_with(telemetry::SpanId::EvalBatch, grid.len() as u64);
+        // Each worker keeps one context for its whole share of the grid: a
+        // simulator-time accumulator here, and — inside the testbenches —
+        // pool-leased solver workspaces reused across its units. Durations
+        // are timed inside the workers and summed, so `sim_time` is total
+        // simulator time (not batch wall-clock) for any thread count.
         // Per-unit panic isolation: one panicking analysis becomes one
-        // hard-failed unit (which then collapses its corner to a diagnosed
+        // hard-failed unit (which collapses its corner to a diagnosed
         // failed placeholder), never a dead batch.
         let (units, worker_times) = crate::parallel::try_par_map_with(
             &grid,
@@ -499,7 +370,6 @@ impl<'a> Evaluator<'a> {
             },
         );
         self.sim_time += worker_times.iter().sum::<Duration>();
-        let m = problem.num_constraints();
         let units: Vec<AnalysisSpec> = units
             .into_iter()
             .zip(&grid)
@@ -509,36 +379,35 @@ impl<'a> Evaluator<'a> {
                 // Attribute the diagnosis to the unit that produced it: the
                 // testbench-level diag only names the inner analysis kind
                 // ("dc operating point"), which is ambiguous once several
-                // independent units assemble into one corner record. Done
-                // identically on every path (serial or grid, any thread
-                // count), so histories stay bit-identical.
-                if let Some(diag) = unit.failure.as_deref_mut() {
-                    let label = problem.analysis_name(a);
-                    if !diag.analysis.starts_with(&label) {
-                        diag.analysis = format!("{label}: {}", diag.analysis);
+                // independent units assemble into one corner record. A
+                // single-analysis problem keeps its diagnosis as is.
+                if na > 1 {
+                    if let Some(diag) = unit.failure.as_deref_mut() {
+                        let label = problem.analysis_name(a);
+                        if !diag.analysis.starts_with(&label) {
+                            diag.analysis = format!("{label}: {}", diag.analysis);
+                        }
                     }
                 }
                 unit
             })
             .collect();
-        let mut out = Vec::with_capacity(batch.len());
-        for (i, x) in batch.iter().enumerate() {
-            let corner_specs: Vec<SpecResult> = (0..k)
-                .map(|c| {
-                    let base = (i * k + c) * na;
-                    AnalysisSpec::assemble(m, &units[base..base + na])
-                })
+        let m = problem.num_constraints();
+        let mut out = Vec::with_capacity(take);
+        for (x, units) in batch.iter().zip(units.chunks(k * na)) {
+            let mut corner_specs: Vec<SpecResult> = units
+                .chunks(na)
+                .map(|corner| AnalysisSpec::assemble(m, corner))
                 .collect();
-            if k <= 1 {
-                let spec = corner_specs
-                    .into_iter()
-                    .next()
-                    .expect("single-corner plane has corner 0");
-                out.push(self.record(x.clone(), spec, Vec::new()));
+            // A single corner is recorded raw: `worst_case` would replace a
+            // raw non-placeholder failure (e.g. `+inf`) with the penalty
+            // placeholder, changing the critic's training targets.
+            let spec = if k == 1 {
+                corner_specs.pop().expect("one corner per candidate")
             } else {
-                let spec = SpecResult::worst_case(&corner_specs);
-                out.push(self.record(x.clone(), spec, corner_specs));
-            }
+                SpecResult::worst_case(&corner_specs)
+            };
+            out.push(self.record(x.clone(), spec, corner_specs));
         }
         out
     }
@@ -592,7 +461,8 @@ impl<'a> Evaluator<'a> {
         &self.history
     }
 
-    /// Wall-clock time spent inside [`SizingProblem::evaluate`].
+    /// Simulator time spent inside [`SizingProblem::evaluate_analysis`],
+    /// summed over grid units (not batch wall-clock).
     pub fn sim_time(&self) -> Duration {
         self.sim_time
     }
@@ -1182,5 +1052,109 @@ mod tests {
         let bad = ev.evaluate(&[0.0, 0.0]);
         assert!(!bad.feasible);
         assert_eq!(ev.history().first_feasible(), Some(1));
+    }
+
+    /// A spec's exact bits: objective, constraints and diagnosis.
+    fn spec_bits(s: &SpecResult) -> (u64, Vec<u64>, Option<String>) {
+        (
+            s.objective.to_bits(),
+            s.constraints.iter().map(|c| c.to_bits()).collect(),
+            s.failure_diag().map(|d| format!("{d:?}")),
+        )
+    }
+
+    #[test]
+    fn every_grid_shape_records_identically_one_by_one_and_batched() {
+        // (problem, k corners, na analyses); candidate 4 has x0 = 0.5, which
+        // panics in the two Panicky problems.
+        let shapes: [(&dyn SizingProblem, usize, usize); 4] = [
+            (&PanickySphere, 1, 1),
+            (&CorneredSphere, 3, 1),
+            (&PanickyAnalysis, 1, 2),
+            (&SplitCorneredSphere, 3, 2),
+        ];
+        for (p, k, na) in shapes {
+            assert_eq!((p.num_corners(), p.num_analyses()), (k, na));
+            let fom = Fom::uniform(1.0, p.num_constraints());
+            let xs: Vec<Vec<f64>> = (0..8)
+                .map(|i| {
+                    let mut x = vec![0.5; p.dim()];
+                    x[0] = i as f64 / 8.0;
+                    x
+                })
+                .collect();
+            for threads in [1usize, 2, 7] {
+                let ctx = format!("k={k} na={na} threads={threads}");
+                crate::parallel::set_max_threads(threads);
+                let mut ev = Evaluator::new(p, &fom, xs.len());
+                let one_by_one: Vec<Evaluation> = xs.iter().map(|x| ev.evaluate(x)).collect();
+                let mut ev = Evaluator::new(p, &fom, xs.len());
+                let batched = ev.evaluate_batch(&xs);
+                crate::parallel::set_max_threads(0);
+                assert_eq!(batched.len(), xs.len(), "{ctx}");
+                for (a, b) in one_by_one.iter().zip(&batched) {
+                    assert_eq!(spec_bits(&a.spec), spec_bits(&b.spec), "{ctx}");
+                    assert_eq!(a.fom.to_bits(), b.fom.to_bits(), "{ctx}");
+                    assert_eq!(a.feasible, b.feasible, "{ctx}");
+                    let corners = |e: &Evaluation| -> Vec<_> {
+                        e.corner_specs.iter().map(spec_bits).collect()
+                    };
+                    assert_eq!(corners(a), corners(b), "{ctx}");
+                    // A single corner records no per-corner vectors.
+                    assert_eq!(b.corner_specs.len(), if k == 1 { 0 } else { k }, "{ctx}");
+                }
+                // The panic diagnosis is exact: relabelled with the
+                // analysis name only on a multi-analysis problem.
+                let expected = match (k, na) {
+                    (1, 1) => Some("panic: injected testbench panic"),
+                    (1, 2) => Some("analysis1: panic: injected analysis panic"),
+                    _ => None,
+                };
+                if let Some(expected) = expected {
+                    let d = batched[4].spec.failure_diag().expect("panic is diagnosed");
+                    assert_eq!(d.kind, FailureKind::Panic, "{ctx}");
+                    assert_eq!(d.analysis, expected, "{ctx}");
+                }
+            }
+        }
+    }
+
+    /// Single-corner problem whose constraint 0 is a raw `+inf` failure.
+    struct InfConstraint;
+
+    impl SizingProblem for InfConstraint {
+        fn dim(&self) -> usize {
+            1
+        }
+        fn bounds(&self) -> (Vec<f64>, Vec<f64>) {
+            (vec![0.0], vec![1.0])
+        }
+        fn num_constraints(&self) -> usize {
+            2
+        }
+        fn evaluate(&self, x: &[f64]) -> SpecResult {
+            SpecResult {
+                failure: None,
+                objective: x[0],
+                constraints: vec![f64::INFINITY, -0.2],
+            }
+        }
+    }
+
+    #[test]
+    fn single_corner_raw_failure_is_recorded_raw() {
+        let p = InfConstraint;
+        let fom = Fom::uniform(1.0, 2);
+        let mut ev = Evaluator::new(&p, &fom, 2);
+        let raw = p.evaluate(&[0.5]);
+        for e in [
+            ev.evaluate(&[0.5]),
+            ev.evaluate_batch(&[vec![0.5]]).remove(0),
+        ] {
+            assert_eq!(e.spec, raw);
+            assert!(e.corner_specs.is_empty());
+        }
+        // The worst-case fold would have swapped in the penalty placeholder.
+        assert_ne!(SpecResult::worst_case(std::slice::from_ref(&raw)), raw);
     }
 }

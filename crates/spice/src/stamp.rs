@@ -28,9 +28,9 @@ use crate::waveform::Waveform;
 /// dispatch:
 ///
 /// - [`RealStamper`]: classic `a[(i, j)] += v` into the dense matrix;
-/// - [`RecordStamper`]: logs each `(row, col)` once to learn the sequence,
+/// - `RecordStamper`: logs each `(row, col)` once to learn the sequence,
 ///   which becomes a CSC pattern plus a stamp→slot map;
-/// - [`SlotStamper`]: replays through the slot map —
+/// - `SlotStamper`: replays through the slot map —
 ///   `values[slots[cursor]] += v` — assembling straight into the CSC value
 ///   array with no index search at all.
 pub trait Stamp {
@@ -598,9 +598,9 @@ pub(crate) fn stamp_resistive_mos<S: Stamp>(circuit: &Circuit, x: &[f64], st: &m
 ///
 /// - [`ComplexStamper`]: classic dense `a[i][j] += y` assembly (the
 ///   universal fallback);
-/// - [`ComplexRecordStamper`]: logs each `(row, col)` once to learn the
+/// - `ComplexRecordStamper`: logs each `(row, col)` once to learn the
 ///   sequence, which becomes a CSC pattern plus a stamp→slot map;
-/// - [`ComplexSlotStamper`]: replays through the slot map —
+/// - `ComplexSlotStamper`: replays through the slot map —
 ///   `values[slots[cursor]] += y` — assembling straight into the complex
 ///   CSC value array with no index search at all.
 pub trait ComplexStamp {

@@ -329,11 +329,16 @@ pub enum SpanId {
     EvalBatch,
     /// One worker slot's share of a parallel fan-out (`opt::parallel`).
     GridSlot,
-    /// One candidate's evaluation.
+    /// One candidate of the evaluation grid. The evaluator opens the
+    /// `candidate`, `corner` and `analysis` spans once per grid unit, so
+    /// a nominal two-analysis OTA records 2 `candidate` spans per
+    /// evaluation (and a K-corner plane 2·K).
     Candidate,
-    /// One PVT corner of a candidate.
+    /// One PVT corner of a candidate; opened once per grid unit, nested
+    /// in that unit's `candidate` span.
     Corner,
-    /// One analysis unit of a corner (the deepest grid level).
+    /// One analysis unit of a corner (the deepest grid level); opened
+    /// once per grid unit, nested in that unit's `corner` span.
     Analysis,
     /// One circuit testbench body (`circuits`).
     Testbench,
