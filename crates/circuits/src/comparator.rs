@@ -443,16 +443,14 @@ impl SizingProblem for StrongArmLatch {
                                     // One pooled workspace for the whole evaluation: the transient
                                     // reuses the recorded solver state of previous candidates.
         let mut ws = spice::lease_workspace(&ckt);
-        let tr =
-            match spice::transient_with_workspace(&ckt, &self.opts, self.period, 50e-12, &mut ws) {
-                Ok(tr) => tr,
-                Err(e) => {
-                    return SpecResult::failed_with(
-                        m,
-                        crate::diag_from_spice(&e, "latch transient"),
-                    )
-                }
-            };
+        let tr = match spice::op_with_workspace(&ckt, &self.opts, None, &mut ws).and_then(|op0| {
+            spice::transient_with_workspace(&ckt, &self.opts, &op0, self.period, 50e-12, &mut ws)
+        }) {
+            Ok(tr) => tr,
+            Err(e) => {
+                return SpecResult::failed_with(m, crate::diag_from_spice(&e, "latch transient"))
+            }
+        };
 
         // Both buffer outputs start low (the latch precharges its internal
         // nodes high); after the clock edge exactly one of them rises.

@@ -207,7 +207,9 @@ impl SizingProblem for InverterChain {
         // One pooled workspace for the whole evaluation: the transient
         // reuses the recorded solver state of previous candidates.
         let mut ws = spice::lease_workspace(&ckt);
-        let tr = match spice::transient_with_workspace(&ckt, &self.opts, 1.0e-9, 2e-12, &mut ws) {
+        let tr = match spice::op_with_workspace(&ckt, &self.opts, None, &mut ws).and_then(|op0| {
+            spice::transient_with_workspace(&ckt, &self.opts, &op0, 1.0e-9, 2e-12, &mut ws)
+        }) {
             Ok(tr) => tr,
             Err(e) => {
                 return SpecResult::failed_with(

@@ -290,7 +290,9 @@ impl SizingProblem for LevelShifter {
                 )
             }
         };
-        let tr = match spice::transient_with_workspace(&ckt, &self.opts, 1.1e-9, 2.5e-12, &mut ws) {
+        let tr = match spice::op_with_workspace(&ckt, &self.opts, None, &mut ws).and_then(|op0| {
+            spice::transient_with_workspace(&ckt, &self.opts, &op0, 1.1e-9, 2.5e-12, &mut ws)
+        }) {
             Ok(tr) => tr,
             Err(e) => {
                 return SpecResult::failed_with(

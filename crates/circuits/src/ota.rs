@@ -849,55 +849,61 @@ impl FoldedCascodeOta {
     }
 
     /// Closed-loop analysis unit: output noise (in the configuration the
-    /// amplifier is actually used in) and the step response. Owns
-    /// constraints 2, 8, 9 (settling, noise, static error). Every
-    /// simulator error here degrades softly into strong constraint
-    /// violations — this unit never hard-fails the corner.
+    /// amplifier is actually used in) and the step response, both started
+    /// from one closed-loop operating point. Owns constraints 2, 8, 9
+    /// (settling, noise, static error). Every simulator error here
+    /// degrades softly into strong constraint violations — this unit never
+    /// hard-fails the corner — and tags the unit with its diagnosis.
     fn closed_loop_analysis(&self, x: &[f64]) -> AnalysisSpec {
         let p = OtaParams::decode(x);
         let step = 0.5;
+        // Soft-failure values: each stays a strong violation unless its
+        // measurement completes.
         let mut vnoise = f64::INFINITY;
-        let (settle, static_err_pct) = match self.build_closed_loop(&p, step) {
-            Ok((cl, cout_p, cout_n)) => {
-                let mut ws_cl = spice::lease_workspace(&cl);
-                if let Ok(op_cl) = spice::op_with_workspace(&cl, &self.opts, None, &mut ws_cl) {
-                    let noise_freqs = spice::log_freqs(1e3, 1e8, 4);
-                    if let Ok(nres) = spice::noise_with_workspace(
-                        &cl,
-                        &self.opts,
-                        &op_cl,
-                        cout_p,
-                        cout_n,
-                        &noise_freqs,
-                        &mut ws_cl,
-                    ) {
-                        vnoise = nres.total_rms();
-                    }
-                }
-                match spice::transient_with_workspace(&cl, &self.opts, 400e-9, 0.5e-9, &mut ws_cl) {
-                    Ok(tr) => {
-                        let wave: Vec<(f64, f64)> = tr
-                            .times()
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &t)| (t, tr.voltage(i, cout_p) - tr.voltage(i, cout_n)))
-                            .collect();
-                        // Gain −1 with crossed outputs: the differential
-                        // output equals +step in this orientation; measure
-                        // against the actual final value for settling and
-                        // against the ideal target for static error.
-                        let target = step;
-                        let v_final = wave.last().map(|p| p.1).unwrap_or(0.0);
-                        let settle =
-                            measure::settling_time(&wave, 101e-9, v_final, 0.01 * step.abs());
-                        let err = 100.0 * ((v_final.abs() - target.abs()) / target).abs();
-                        (settle, err)
-                    }
-                    Err(_) => (None, 100.0),
-                }
+        let mut settle = None;
+        let mut static_err_pct = 100.0;
+        let mut measure_loop = || -> Result<(), opt::FailureDiag> {
+            let (cl, cout_p, cout_n) = self
+                .build_closed_loop(&p, step)
+                .map_err(|e| crate::diag_from_spice(&e, "ota closed-loop netlist"))?;
+            let mut ws_cl = spice::lease_workspace(&cl);
+            // The transient starts from this operating point too, so a
+            // failure here skips it along with the noise.
+            let op_cl = spice::op_with_workspace(&cl, &self.opts, None, &mut ws_cl)
+                .map_err(|e| crate::diag_from_spice(&e, "ota closed-loop op"))?;
+            let noise_freqs = spice::log_freqs(1e3, 1e8, 4);
+            if let Ok(nres) = spice::noise_with_workspace(
+                &cl,
+                &self.opts,
+                &op_cl,
+                cout_p,
+                cout_n,
+                &noise_freqs,
+                &mut ws_cl,
+            ) {
+                vnoise = nres.total_rms();
             }
-            Err(_) => (None, 100.0),
+            let tr = spice::transient_with_workspace(
+                &cl, &self.opts, &op_cl, 400e-9, 0.5e-9, &mut ws_cl,
+            )
+            .map_err(|e| crate::diag_from_spice(&e, "ota closed-loop transient"))?;
+            let wave: Vec<(f64, f64)> = tr
+                .times()
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| (t, tr.voltage(i, cout_p) - tr.voltage(i, cout_n)))
+                .collect();
+            // Gain −1 with crossed outputs: the differential output equals
+            // +step in this orientation; measure against the actual final
+            // value for settling and against the ideal target for static
+            // error.
+            let target = step;
+            let v_final = wave.last().map(|p| p.1).unwrap_or(0.0);
+            settle = measure::settling_time(&wave, 101e-9, v_final, 0.01 * step.abs());
+            static_err_pct = 100.0 * ((v_final.abs() - target.abs()) / target).abs();
+            Ok(())
         };
+        let failure = measure_loop().err();
 
         AnalysisSpec {
             objective: None,
@@ -916,7 +922,7 @@ impl FoldedCascodeOta {
                 // 9. Static error < 0.1 %.
                 (8, at_most(static_err_pct, 0.1, 0.2)),
             ],
-            failure: None,
+            failure: failure.map(Box::new),
             failed: false,
         }
     }
@@ -1195,6 +1201,68 @@ mod tests {
             }
             assert_eq!(whole.failure, assembled.failure, "corner {k} diagnosis");
         }
+    }
+
+    /// A design whose closed-loop operating point fails the whole DC
+    /// ladder while the open loop biases up: entry 8 of the seed-1 DNN-Opt
+    /// benchmark run on the nominal OTA.
+    const CLOSED_LOOP_OP_FAILS: [f64; 20] = [
+        1.6703023204325226e-6,
+        4.3534474683639304e-7,
+        9.573483730368893e-7,
+        2.153639072333186e-7,
+        1.8537123617974057e-6,
+        1.9157742122169366e-7,
+        3.502538857747634e-7,
+        2.7510337098801454e-5,
+        7.845226845750038e-6,
+        0.00011512925100287167,
+        3.6305997808899015e-5,
+        3.770961455976636e-5,
+        9.533111176962532e-5,
+        8.055256621968074e-5,
+        18.618203694597444,
+        2.5544891754318044,
+        6.389206041325885,
+        6.939243957567189,
+        1.6125304017250266e-12,
+        5.094299244607388e-12,
+    ];
+
+    #[test]
+    fn failed_closed_loop_op_is_a_tagged_soft_failure() {
+        let ota = FoldedCascodeOta::new();
+        let x = CLOSED_LOOP_OP_FAILS;
+        let open = ota.evaluate_analysis(&x, 0, 0);
+        assert!(
+            !open.failed && open.failure.is_none(),
+            "open loop simulates"
+        );
+
+        let closed = ota.evaluate_analysis(&x, 0, 1);
+        assert!(!closed.failed, "closed-loop failures stay soft");
+        let diag = closed.failure.as_deref().expect("closed-loop op is tagged");
+        assert_eq!(diag.analysis, "ota closed-loop op: dc operating point");
+        assert_eq!(diag.kind, opt::FailureKind::NoConvergence);
+        assert_eq!(diag.stage, opt::RecoveryStage::SourceStepping);
+        // No settling, 100 % static error, no noise figure: the transient
+        // that would start from the failed OP is skipped.
+        assert_eq!(
+            closed.constraints,
+            vec![(1, 3.0), (7, f64::INFINITY), (8, at_most(100.0, 0.1, 0.2))]
+        );
+
+        // The recorded evaluation fails with that diagnosis, not untagged.
+        let fom = opt::Fom::new(100.0, vec![0.25; ota.num_constraints()]);
+        let mut ev = opt::Evaluator::new(&ota, &fom, 1);
+        ev.evaluate(&x);
+        let report = ev.history().robustness_report();
+        assert_eq!((report.failures, report.untagged), (1, 0));
+        let recorded = ev.history().entries()[0].spec.failure_diag().unwrap();
+        assert_eq!(
+            recorded.analysis,
+            "closed-loop: ota closed-loop op: dc operating point"
+        );
     }
 
     #[test]

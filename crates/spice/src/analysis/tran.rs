@@ -7,8 +7,14 @@
 //! breakpoints; when a step refuses to converge it is halved (up to
 //! [`crate::SimOptions::max_step_halvings`] times) and grown back
 //! afterwards.
+//!
+//! The initial condition is the caller's DC operating point of the same
+//! circuit and options ([`transient_with_workspace`] takes it as an
+//! argument), so a transient never hides a DC solve: a testbench that
+//! already has the operating point for AC or noise passes that one in.
+//! The [`transient`] convenience solves it first.
 
-use crate::analysis::dc;
+use crate::analysis::dc::{self, OpPoint};
 use crate::diag::{FailureDiag, LadderStage, NewtonFailure};
 use crate::error::SpiceError;
 use crate::netlist::{Circuit, NodeId};
@@ -249,7 +255,8 @@ fn solve_step(
 
 /// Runs a transient analysis from `t = 0` to `t_stop` with base step
 /// `t_step`. The initial condition is the DC operating point with sources at
-/// their `t = 0` values.
+/// their `t = 0` values, solved here by [`dc::op_with_workspace`] on a
+/// leased workspace before the run starts.
 ///
 /// # Errors
 ///
@@ -265,21 +272,31 @@ pub fn transient(
     // Lease from the process-wide pool so repeated runs on the same
     // topology reuse the recorded stamp→slot maps and factor storage.
     let mut ws = crate::workspace::lease_workspace(circuit);
-    transient_with_workspace(circuit, opts, t_stop, t_step, &mut ws)
+    let op0 = dc::op_with_workspace(circuit, opts, None, &mut ws)?;
+    transient_with_workspace(circuit, opts, &op0, t_stop, t_step, &mut ws)
 }
 
-/// Runs a transient analysis using caller-owned solver state (see
-/// [`transient`]). The workspace is shared by the initial operating point,
-/// every timestep, and every step-halving retry; reuse one workspace across
-/// runs of the same topology (optimizer candidates) for the full benefit of
-/// the recorded sparse patterns.
+/// Runs a transient analysis from the caller's initial condition using
+/// caller-owned solver state (see [`transient`]).
+///
+/// `op0` must be the DC operating point of this `circuit` under these
+/// `opts` (sources at their `t = 0` values), typically the one the caller
+/// already solved for its small-signal analyses: the run starts from
+/// `op0.raw()` and solves no operating point of its own, so every Newton
+/// solve it records is a timestep. The workspace is shared by every
+/// timestep and every step-halving retry; reuse one workspace across runs
+/// of the same topology (optimizer candidates) for the full benefit of the
+/// recorded sparse patterns.
 ///
 /// # Errors
 ///
-/// Same failure modes as [`transient`].
+/// Returns [`SpiceError::BadAnalysis`] for an invalid window or an `op0`
+/// whose unknown count differs from `circuit`'s, and a solver failure if
+/// some timestep refuses to converge even at the minimum step size.
 pub fn transient_with_workspace(
     circuit: &Circuit,
     opts: &SimOptions,
+    op0: &OpPoint,
     t_stop: f64,
     t_step: f64,
     ws: &mut NewtonWorkspace,
@@ -289,8 +306,19 @@ pub fn transient_with_workspace(
             reason: format!("invalid transient window: stop={t_stop}, step={t_step}"),
         });
     }
-    // Initial condition.
-    let op0 = dc::op_with_workspace(circuit, opts, None, ws)?;
+    let n = circuit.num_unknowns();
+    if op0.raw().len() != n {
+        return Err(SpiceError::BadAnalysis {
+            reason: format!(
+                "initial operating point has {} unknowns, circuit has {n}",
+                op0.raw().len()
+            ),
+        });
+    }
+    ws.ensure(circuit);
+    // New candidate/analysis: re-derive sparse pivot sequences from this
+    // circuit's own values (the workspace-pooling determinism boundary).
+    ws.begin_session();
     let mut x = op0.raw().to_vec();
 
     // Collect waveform breakpoints, sorted and deduplicated.
@@ -419,6 +447,7 @@ fn unknowns_to_branches(circuit: &Circuit, x: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mos::{MosModel, MosPolarity};
     use crate::netlist::GND;
     use crate::waveform::Waveform;
 
@@ -469,10 +498,8 @@ mod tests {
         assert!((r.final_voltage(b) - expect).abs() < 0.01);
     }
 
-    #[test]
-    fn inverter_switches_on_pulse() {
-        use crate::mos::{MosModel, MosPolarity};
-        let nmos = MosModel {
+    fn test_nmos() -> MosModel {
+        MosModel {
             polarity: MosPolarity::Nmos,
             vth0: 0.45,
             kp: 300e-6,
@@ -487,7 +514,13 @@ mod tests {
             kf: 1e-26,
             af: 1.0,
             noise_gamma: 2.0 / 3.0,
-        };
+        }
+    }
+
+    /// A CMOS inverter on a 1.8 V supply driven by a 5 ns input pulse,
+    /// with its output node.
+    fn pulsed_inverter() -> (Circuit, NodeId) {
+        let nmos = test_nmos();
         let pmos = MosModel {
             polarity: MosPolarity::Pmos,
             kp: 80e-6,
@@ -510,12 +543,54 @@ mod tests {
         c.add_mosfet("MP", out, inp, vdd, vdd, &pmos, 4e-6, 0.18e-6, 1.0)
             .unwrap();
         c.add_capacitor("CL", out, GND, 10e-15).unwrap();
+        (c, out)
+    }
+
+    #[test]
+    fn inverter_switches_on_pulse() {
+        let (c, out) = pulsed_inverter();
         let r = transient(&c, &SimOptions::default(), 10e-9, 25e-12).unwrap();
         // Before the pulse, output is high; during the pulse, low.
         assert!(r.sample(out, 0.5e-9) > 1.7);
         assert!(r.sample(out, 4e-9) < 0.1);
         // After the input falls, the output recovers.
         assert!(r.sample(out, 9.5e-9) > 1.6);
+    }
+
+    /// The convenience entry point is exactly "solve the OP, then start the
+    /// transient from it": same bits at every time point, on a pooled
+    /// workspace and on a fresh one.
+    #[test]
+    fn convenience_transient_is_op_then_transient_from_op() {
+        let (c, _) = pulsed_inverter();
+        let opts = SimOptions::default();
+        let a = transient(&c, &opts, 10e-9, 25e-12).unwrap();
+        let mut ws = crate::workspace::NewtonWorkspace::new(&c);
+        let op0 = dc::op_with_workspace(&c, &opts, None, &mut ws).unwrap();
+        let b = transient_with_workspace(&c, &opts, &op0, 10e-9, 25e-12, &mut ws).unwrap();
+        assert_eq!(a.len(), b.len());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a.times()), bits(b.times()));
+        assert_eq!(bits(&a.v.concat()), bits(&b.v.concat()));
+        assert_eq!(bits(&a.branch.concat()), bits(&b.branch.concat()));
+    }
+
+    #[test]
+    fn foreign_operating_point_is_a_bad_analysis() {
+        // The OP of a 3-unknown RC divider handed to the 5-unknown inverter.
+        let mut rc = Circuit::new();
+        let a = rc.node("a");
+        let b = rc.node("b");
+        rc.add_vsource("V1", a, GND, Waveform::Dc(1.0)).unwrap();
+        rc.add_resistor("R1", a, b, 1e3).unwrap();
+        rc.add_capacitor("C1", b, GND, 1e-12).unwrap();
+        let opts = SimOptions::default();
+        let op_rc = dc::op(&rc, &opts).unwrap();
+        let (inv, _) = pulsed_inverter();
+        let mut ws = crate::workspace::NewtonWorkspace::new(&inv);
+        let err = transient_with_workspace(&inv, &opts, &op_rc, 10e-9, 25e-12, &mut ws)
+            .expect_err("an OP of another circuit must be rejected");
+        assert!(matches!(err, SpiceError::BadAnalysis { .. }), "{err:?}");
     }
 
     #[test]
@@ -561,8 +636,9 @@ mod tests {
             prev = node;
         }
         let mut ws = crate::workspace::NewtonWorkspace::new(&c);
-        let r =
-            transient_with_workspace(&c, &SimOptions::default(), 50e-9, 100e-12, &mut ws).unwrap();
+        let opts = SimOptions::default();
+        let op0 = dc::op_with_workspace(&c, &opts, None, &mut ws).unwrap();
+        let r = transient_with_workspace(&c, &opts, &op0, 50e-9, 100e-12, &mut ws).unwrap();
         assert!(ws.uses_sparse(true), "ladder must select the sparse path");
         // The line's slowest mode is ≈ R_tot·C_tot·(2/π)² ≈ 3.6 ns, so by
         // 50 ns the end of the line has settled to the source value.
@@ -591,23 +667,7 @@ mod tests {
     /// timestep and never leaks state between runs.
     #[test]
     fn split_transient_is_bit_reproducible_across_workspace_reuse() {
-        use crate::mos::{MosModel, MosPolarity};
-        let m = MosModel {
-            polarity: MosPolarity::Nmos,
-            vth0: 0.45,
-            kp: 300e-6,
-            clm: 0.02e-6,
-            gamma: 0.4,
-            phi: 0.8,
-            nsub: 1.4,
-            cox: 8.5e-3,
-            cov: 3e-10,
-            cj: 1e-3,
-            ldiff: 0.4e-6,
-            kf: 1e-26,
-            af: 1.0,
-            noise_gamma: 2.0 / 3.0,
-        };
+        let m = test_nmos();
         let mut c = Circuit::new();
         let vdd = c.node("vdd");
         c.add_vsource(
@@ -628,9 +688,10 @@ mod tests {
         }
         let mut ws = crate::workspace::NewtonWorkspace::new(&c);
         let opts = SimOptions::default();
-        let r1 = transient_with_workspace(&c, &opts, 5e-9, 50e-12, &mut ws).unwrap();
+        let op0 = dc::op_with_workspace(&c, &opts, None, &mut ws).unwrap();
+        let r1 = transient_with_workspace(&c, &opts, &op0, 5e-9, 50e-12, &mut ws).unwrap();
         assert!(ws.uses_sparse(true), "ladder must select the sparse path");
-        let r2 = transient_with_workspace(&c, &opts, 5e-9, 50e-12, &mut ws).unwrap();
+        let r2 = transient_with_workspace(&c, &opts, &op0, 5e-9, 50e-12, &mut ws).unwrap();
         assert_eq!(r1.len(), r2.len());
         for i in 0..r1.len() {
             for n in 0..c.num_nodes() {
