@@ -8,16 +8,28 @@ use linalg::{gemm, gemm_naive, GemmOp, GemmWorkspace, Matrix};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// One `(label, m, n, k, op_a, op_b)` row per benchmarked product shape:
-/// the critic's batch-128 forward (`x·Wᵀ`), its weight gradient
-/// (`δᵀ·x`), its delta propagation (`δ·W`), and a panel-spanning square
-/// product.
+/// the actor's elite-batch products, every product of one critic training
+/// step at batch 128 (forward `x·Wᵀ` per layer, weight gradient `δᵀ·x` per
+/// layer, delta propagation `δ·W` into each hidden layer), and a
+/// panel-spanning square product.
 type Shape = (&'static str, usize, usize, usize, GemmOp, GemmOp);
 
-const SHAPES: [Shape; 6] = [
+const SHAPES: [Shape; 10] = [
     ("10x48x20_nt", 10, 48, 20, GemmOp::NoTrans, GemmOp::Trans),
     ("48x48x10_tn", 48, 48, 10, GemmOp::Trans, GemmOp::NoTrans),
     ("128x48x40_nt", 128, 48, 40, GemmOp::NoTrans, GemmOp::Trans),
+    ("128x13x48_nt", 128, 13, 48, GemmOp::NoTrans, GemmOp::Trans),
+    ("13x48x128_tn", 13, 48, 128, GemmOp::Trans, GemmOp::NoTrans),
+    ("48x48x128_tn", 48, 48, 128, GemmOp::Trans, GemmOp::NoTrans),
     ("48x40x128_tn", 48, 40, 128, GemmOp::Trans, GemmOp::NoTrans),
+    (
+        "128x48x13_nn",
+        128,
+        48,
+        13,
+        GemmOp::NoTrans,
+        GemmOp::NoTrans,
+    ),
     (
         "128x48x48_nn",
         128,

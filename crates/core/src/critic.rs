@@ -5,7 +5,7 @@ use nn::{Activation, Adam, Mlp, Scaler, TrainWorkspace};
 use rand::Rng;
 
 use crate::config::DnnOptConfig;
-use crate::pseudo::{all_pseudo_samples_into, sample_pseudo_batch_into};
+use crate::pseudo::PseudoSampler;
 
 /// A trained critic: predicts the full spec vector `[f0, f1, …, fm]` of a
 /// design step `(x, Δx)` in unit-cube coordinates.
@@ -64,30 +64,30 @@ impl Critic {
         let mut net = Mlp::new(&sizes, Activation::Relu, rng);
         let mut adam = Adam::new(cfg.critic_lr);
 
-        // Every per-epoch buffer — pseudo-sample batch, scaled targets, and
-        // the network's forward/backward state — is allocated once here and
+        // The targets are scaled and the tournament distances tabulated
+        // once; every per-epoch buffer — pseudo-sample batch and the
+        // network's forward/backward state — is allocated once here and
         // reused for all `critic_epochs` gradient steps.
+        let sampler = PseudoSampler::new(xs, y_scaler.transform(&f_mat));
         let mut inp = Matrix::default();
-        let mut raw_out = Matrix::default();
         let mut out = Matrix::default();
         let mut ws = TrainWorkspace::new();
         let full_pairs = n * n;
         let use_full_set = full_pairs <= cfg.critic_batch;
         if use_full_set {
             // The full N² Cartesian set is deterministic: build it once.
-            all_pseudo_samples_into(xs, fs, &mut inp, &mut raw_out);
-            y_scaler.transform_into(&raw_out, &mut out);
+            sampler.all_into(&mut inp, &mut out);
         }
         for _ in 0..cfg.critic_epochs {
             if !use_full_set {
-                sample_pseudo_batch_into(xs, fs, cfg.critic_batch, rng, &mut inp, &mut raw_out);
-                y_scaler.transform_into(&raw_out, &mut out);
+                sampler.sample_into(cfg.critic_batch, rng, &mut inp, &mut out);
             }
             nn::train_step_mse_ws(&mut net, &mut adam, &inp, &out, &mut ws);
         }
         // The critic is frozen from here on (the actor trains *through*
-        // it): pre-pack its weight panels so every forward/backward of the
-        // actor loop skips the per-call GEMM packing.
+        // it): pre-pack its forward `Wᵀ` panels so every forward of the
+        // actor loop skips the per-call GEMM packing (the backward reads
+        // `W` in place).
         net.freeze();
         Critic {
             net,

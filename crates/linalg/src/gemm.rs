@@ -8,26 +8,40 @@
 //!
 //! # Blocking scheme
 //!
-//! The implementation follows the classic Goto/BLIS decomposition:
+//! The loop nest follows the classic Goto/BLIS decomposition:
 //!
 //! - the output is processed in `NC`-wide column blocks;
 //! - each column block accumulates over `KC`-deep panels of the inner
-//!   dimension; the `KC × NC` slice of `op(B)` is packed once per panel
-//!   into [`GemmWorkspace::pack_b`], laid out in `NR`-column micro-panels;
-//! - inside a panel, `MC`-tall row blocks of `op(A)` are packed into
-//!   [`GemmWorkspace::pack_a`] as `MR`-row micro-panels;
-//! - a register-tiled micro-kernel then computes `MR × NR` output tiles
-//!   from the two packed panels, walking both with stride-1 loads and no
-//!   transposition logic in the inner loop.
+//!   dimension, and inside a panel over `MC`-tall row blocks;
+//! - a register-tiled micro-kernel computes `MR × NR` output tiles, each
+//!   from an `MR`-row micro-panel of `op(A)` and an `NR`-column
+//!   micro-panel of `op(B)`.
 //!
-//! Packing handles both transposition and edge padding (partial tiles are
-//! zero-padded to full `MR`/`NR` width), so the micro-kernel is a single
-//! branch-free loop.
+//! A micro-panel is a strided view (pointer, lane stride, depth stride),
+//! so one kernel reads operands in place and packed panels alike. Which
+//! operands are packed depends on the depth:
+//!
+//! - **`k ≤ KC` (one panel, every DNN-Opt training product).** `op(A)` is
+//!   read in place under both ops: the kernel broadcasts it one element at
+//!   a time, so any stride works. A `NoTrans` `op(B)` of at most 64 KiB
+//!   is read in place too, since its columns are contiguous for the
+//!   kernel's vector loads. Only a transposed `B` (the small `Wᵀ` of a
+//!   layer's forward `x·Wᵀ`) or a larger one is packed, into
+//!   [`GemmWorkspace::pack_b`], and a partial edge panel of either operand
+//!   is packed zero-padded to full `MR`/`NR` width. On these shapes the
+//!   Goto packing buys no reuse, only a copy.
+//! - **`k > KC`.** Both operands are packed per panel, `op(B)`'s
+//!   `KC × NC` slice into `pack_b` and each `MC × KC` block of `op(A)`
+//!   into [`GemmWorkspace::pack_a`], which bounds the cache footprint of
+//!   each pass.
+//!
+//! Either way the micro-kernel's inner loop is branch-free and holds no
+//! transposition logic.
 //!
 //! # Micro-kernels
 //!
-//! The tile shape belongs to the micro-kernel: `pack_a`, `pack_b`, the
-//! macro-kernel and the loop nest are generic over a `TileKernel`'s
+//! The tile shape belongs to the micro-kernel: packing, the macro-kernel
+//! and the loop nest are generic over a `TileKernel`'s
 //! `MR`/`NR`, and each entry point picks the kernel once at its top. One
 //! kernel is selected per process, the fastest the host supports:
 //!
@@ -38,25 +52,26 @@
 //!
 //! A wider tile cannot be driven as smaller ones on a narrower ISA without
 //! losing the register reuse that makes it fast, hence one shape per ISA.
-//! Small products (`m·n·k ≤` [`GEMM_NAIVE_CUTOFF`]) skip the packing
-//! machinery entirely and use the naive reference kernel, which is also
-//! exposed as [`gemm_naive`] for differential testing.
+//! Small products (`m·n·k ≤` [`GEMM_NAIVE_CUTOFF`]) skip the tiling
+//! entirely and use the naive reference kernel, which is also exposed as
+//! [`gemm_naive`] for differential testing.
 //!
 //! # Threading
 //!
 //! Every product runs serially on the calling thread. The workspace has
 //! one parallel layer, the evaluation grid in `opt::parallel`, and it
 //! already owns every core while candidates simulate. The DNN-Opt
-//! training GEMMs between generations are ~128×48×40 products of tens of
-//! microseconds, too small to pay for a pool dispatch plus a second
-//! packing of the shared `B` panel per worker.
+//! training GEMMs between generations are ~128×48×40 products of a few
+//! to tens of microseconds, too small to pay for a pool dispatch.
 //!
 //! # Determinism
 //!
 //! The blocking is fixed (compile-time `MC`/`KC`/`NC`) and every kernel
 //! computes each output element as one chain: it starts from zero, adds
 //! the products over `p` in order within each `KC` panel, and is then
-//! `α`-scaled and stored or added. The two FMA kernels round every step
+//! `α`-scaled and stored or added. Whether an operand is read in place or
+//! packed changes where the kernel loads it from, never that chain, so
+//! both paths are bit-identical. The two FMA kernels round every step
 //! of that chain exactly once, so they are bit-identical to each other
 //! whatever their tile shape; only the portable kernel (separate multiply
 //! and add) may differ in the final bits. The selection is constant for
@@ -119,9 +134,11 @@ impl Epilogue for NoEpilogue {
 /// seen and are reused allocation-free afterwards.
 #[derive(Debug, Clone, Default)]
 pub struct GemmWorkspace {
-    /// `MC × KC` panel of `op(A)`, packed in `MR`-row micro-panels.
+    /// `MC × KC` panel of `op(A)` in `MR`-row micro-panels: the whole
+    /// block for `k > KC`, else only a partial edge panel.
     pack_a: Vec<f64>,
-    /// `KC × NC` panel of `op(B)`, packed in `NR`-column micro-panels.
+    /// `KC × NC` panel of `op(B)` in `NR`-column micro-panels: the whole
+    /// block when transposed or `k > KC`, else only a partial edge panel.
     pack_b: Vec<f64>,
 }
 
@@ -138,6 +155,13 @@ const MC: usize = 128;
 const KC: usize = 256;
 /// Column-block width of the outermost loop.
 const NC: usize = 4096;
+
+/// Largest `NoTrans` `B` (in elements, 64 KiB) that a single-panel product
+/// reads in place. A bigger `B` is packed: its `NR`-column panels, reused
+/// by every row tile, would otherwise be strided over many cache lines
+/// that can alias in L1 (a 256×256×256 product measured ~7% slower in
+/// place). Every DNN-Opt training `B` is at most 128×48.
+const B_IN_PLACE_MAX: usize = 8192;
 
 /// `m·n·k` at or below which [`gemm`] runs the naive reference kernel
 /// instead of the blocked one (packing overhead dominates tiny products).
@@ -354,9 +378,23 @@ fn scale_output(beta: f64, c: &mut Matrix) {
     }
 }
 
-/// The Goto loop nest: `NC`-column blocks × `KC`-depth panels × `MC`-row
-/// blocks, packing into `ws` in `kernel`'s tile layout and merging through
-/// its micro-kernel, then the fused epilogue once every element is final.
+/// True when a product of inner dimension `k` runs the packing-free
+/// single-panel path: `op(A)` and a small `NoTrans` `op(B)` are read in
+/// place and only partial edge tiles and any other `B` are packed. Deeper
+/// products (`k > KC`) keep the Goto packing of both operands, whose
+/// panels bound the cache footprint of each `KC` pass.
+fn reads_in_place(k: usize) -> bool {
+    #[cfg(test)]
+    if tests::FORCE_PACKED.get() {
+        return false;
+    }
+    k <= KC
+}
+
+/// The loop nest: `NC`-column blocks × `KC`-depth panels × `MC`-row
+/// blocks, each operand read in place or packed into `ws` in `kernel`'s
+/// tile layout (see [`reads_in_place`]) and merged through its
+/// micro-kernel, then the fused epilogue once every element is final.
 #[allow(clippy::too_many_arguments)]
 fn blocked_body<K: TileKernel, E: Epilogue>(
     kernel: K,
@@ -373,6 +411,7 @@ fn blocked_body<K: TileKernel, E: Epilogue>(
 ) {
     let _span = trace_product(m.saturating_mul(n).saturating_mul(k));
     scale_output(beta, c);
+    let in_place = reads_in_place(k);
     let ccols = c.cols();
     let cbase = c.as_mut_slice().as_mut_ptr();
     let mut jc = 0;
@@ -385,20 +424,23 @@ fn blocked_body<K: TileKernel, E: Epilogue>(
             // (the stale output is never read); later panels accumulate.
             let store = beta == 0.0 && pc == 0;
 
-            pack_b::<K>(op_b, b, pc, kc, jc, nc, &mut ws.pack_b);
+            let bop = operand_b::<K>(op_b, b, (jc, nc), (pc, kc), in_place, &mut ws.pack_b);
             let mut ic = 0;
             while ic < m {
                 let mc = MC.min(m - ic);
-                pack_a::<K>(op_a, a, ic, mc, pc, kc, &mut ws.pack_a);
+                let aop = operand_a::<K>(op_a, a, (ic, mc), (pc, kc), in_place, &mut ws.pack_a);
                 // SAFETY: `cbase` addresses the whole `m × n` output, and
-                // the `mc × nc` block at `(ic, jc)` lies inside it.
+                // the `mc × nc` block at `(ic, jc)` lies inside it; `aop`
+                // and `bop` cover that block's `kc`-deep panels and point
+                // into `a`, `b` and the two distinct pack buffers, none of
+                // which changes until the call returns.
                 unsafe {
                     macro_kernel(
                         kernel,
                         alpha,
                         (mc, nc, kc),
-                        &ws.pack_a,
-                        &ws.pack_b,
+                        aop,
+                        bop,
                         cbase,
                         ccols,
                         ic,
@@ -419,9 +461,11 @@ fn blocked_body<K: TileKernel, E: Epilogue>(
 
 /// A pre-packed right-hand operand for [`gemm_prepacked_with`]: the
 /// `NR`-column micro-panel layout of a *single* `KC × NC` panel, computed
-/// once and reused across many products. The fast path for frozen weight
-/// matrices (e.g. the DNN-Opt critic inside the actor's training loop),
-/// whose panels would otherwise be re-packed on every call.
+/// once and reused across many products. The fast path for frozen
+/// transposed weights (the forward `Wᵀ` of the DNN-Opt critic inside the
+/// actor's training loop), which would otherwise be re-packed on every
+/// call; a `NoTrans` single-panel operand is read in place by [`gemm`]
+/// anyway.
 ///
 /// The layout depends on the micro-kernel's tile width, so the pack
 /// records the `NR` it was made with and [`gemm_prepacked_with`] checks it.
@@ -505,7 +549,7 @@ fn pack_single_panel<K: TileKernel>(
     buf: &mut Vec<f64>,
 ) -> usize {
     let (k, n) = op_b.dims(b);
-    pack_b::<K>(op_b, b, 0, k, 0, n, buf);
+    operand_b::<K>(op_b, b, (0, n), (0, k), false, buf);
     K::NR
 }
 
@@ -541,7 +585,8 @@ pub fn gemm_prepacked_with<E: Epilogue>(
 
 /// The loop nest of [`gemm_prepacked_with`]: the packed operand is a single
 /// panel (`k ≤ KC`), so it is just the `MC`-row loop over the shared `B`
-/// panel.
+/// panel, with `op(A)` read in place as on the single-panel path of
+/// [`gemm`].
 #[allow(clippy::too_many_arguments)]
 fn prepacked_body<K: TileKernel, E: Epilogue>(
     kernel: K,
@@ -563,21 +608,26 @@ fn prepacked_body<K: TileKernel, E: Epilogue>(
     let _span = trace_product(m.saturating_mul(n).saturating_mul(k));
     scale_output(beta, c);
     let store = beta == 0.0;
+    let in_place = reads_in_place(k);
+    let bop = Operand::packed(&b.data);
     let ccols = c.cols();
     let cbase = c.as_mut_slice().as_mut_ptr();
     let mut ic = 0;
     while ic < m {
         let mc = MC.min(m - ic);
-        pack_a::<K>(op_a, a, ic, mc, 0, k, &mut ws.pack_a);
+        let aop = operand_a::<K>(op_a, a, (ic, mc), (0, k), in_place, &mut ws.pack_a);
         // SAFETY: `cbase` addresses the whole `m × n` output, and the
-        // `mc × n` block at row `ic` lies inside it.
+        // `mc × n` block at row `ic` lies inside it; `aop` and `bop` cover
+        // its `k`-deep panels (`b.nr == K::NR` was checked above) and
+        // point into `a`, `ws.pack_a` and `b.data`, none of which changes
+        // until the call returns.
         unsafe {
             macro_kernel(
                 kernel,
                 alpha,
                 (mc, n, k),
-                &ws.pack_a,
-                &b.data,
+                aop,
+                bop,
                 cbase,
                 ccols,
                 ic,
@@ -592,56 +642,160 @@ fn prepacked_body<K: TileKernel, E: Epilogue>(
     }
 }
 
+/// A micro-kernel's strided view of one micro-panel: lane `l` (a row of
+/// `op(A)` or a column of `op(B)`) at depth `p` is `ptr[l·lane + p·depth]`.
+/// A packed micro-panel is the stride pattern `(1, W)` for its tile width
+/// `W`; an operand read in place keeps its own strides. `B` panels always
+/// have `lane == 1`, because the kernels load a depth slice as vectors.
+#[derive(Debug, Clone, Copy)]
+struct Panel {
+    ptr: *const f64,
+    lane: usize,
+    depth: usize,
+}
+
+/// Where the macro-kernel reads one operand's micro-panels from: the
+/// first `full` `W`-lane tiles in place (tile `t` is `base` moved `t·W`
+/// lanes on), every later tile from `packed`, a buffer of zero-padded
+/// `kc`-deep `W`-lane panels. A fully packed operand has `full == 0`.
+#[derive(Debug, Clone, Copy)]
+struct Operand {
+    base: Panel,
+    full: usize,
+    packed: *const f64,
+}
+
+impl Operand {
+    /// An operand packed whole into `buf`.
+    fn packed(buf: &[f64]) -> Self {
+        Operand {
+            base: Panel {
+                ptr: buf.as_ptr(),
+                lane: 1,
+                depth: 0,
+            },
+            full: 0,
+            packed: buf.as_ptr(),
+        }
+    }
+
+    /// Micro-panel `t` of `w` lanes, `kc` deep.
+    #[inline(always)]
+    fn panel(&self, t: usize, w: usize, kc: usize) -> Panel {
+        if t < self.full {
+            Panel {
+                ptr: self.base.ptr.wrapping_add(t * w * self.base.lane),
+                ..self.base
+            }
+        } else {
+            Panel {
+                ptr: self.packed.wrapping_add((t - self.full) * kc * w),
+                lane: 1,
+                depth: w,
+            }
+        }
+    }
+}
+
 // Packing and the macro-kernel are generic over the tile only; kept out of
 // line so each exists once per tile shape rather than once per (tile,
 // epilogue) loop nest, which holds code size and peak RSS near a
 // single-kernel build at no measured end-to-end cost.
 
-/// Packs the `mc × kc` block of `op(A)` at `(ic, pc)` into `K::MR`-row
-/// micro-panels: panel `t` holds rows `ic + t·MR ..`, laid out so the
-/// micro-kernel reads `buf[t·kc·MR + p·MR + r]` with stride-1 `p` walks.
-/// Partial edge panels are zero-padded to full `MR` height.
+/// Prepares the `mc × kc` block of `op(A)` at `(ic, pc)` as `K::MR`-row
+/// micro-panels. With `in_place`, full panels are read from `a` as they
+/// are stored (rows of `op(A)` may be strided either way, since the kernel
+/// broadcasts `A` one element at a time) and only a partial edge panel is
+/// packed into `buf`; otherwise every panel is.
 #[inline(never)]
-fn pack_a<K: TileKernel>(
+fn operand_a<K: TileKernel>(
     op: GemmOp,
     a: &Matrix,
-    ic: usize,
-    mc: usize,
-    pc: usize,
-    kc: usize,
+    rows: (usize, usize),
+    depths: (usize, usize),
+    in_place: bool,
     buf: &mut Vec<f64>,
-) {
+) -> Operand {
     // A row of op(A) is a row of `a` unless transposed.
     let lanes_are_rows = op == GemmOp::NoTrans;
-    pack_panels(a, lanes_are_rows, K::MR, (ic, mc), (pc, kc), buf);
+    operand(a, lanes_are_rows, K::MR, rows, depths, in_place, buf)
 }
 
-/// Packs the `kc × nc` block of `op(B)` at `(pc, jc)` into `K::NR`-column
-/// micro-panels (`buf[u·kc·NR + p·NR + j]`), zero-padding partial edge
-/// panels to full `NR` width.
+/// Prepares the `kc × nc` block of `op(B)` at `(pc, jc)` as `K::NR`-column
+/// micro-panels. A `NoTrans` `B` of at most [`B_IN_PLACE_MAX`] elements
+/// with `in_place` is read from `b` (its columns are contiguous, as the
+/// kernels' vector loads need), and only a partial edge panel is packed;
+/// a transposed or larger `B` is packed whole.
 #[inline(never)]
-fn pack_b<K: TileKernel>(
+fn operand_b<K: TileKernel>(
     op: GemmOp,
     b: &Matrix,
-    pc: usize,
-    kc: usize,
-    jc: usize,
-    nc: usize,
+    cols: (usize, usize),
+    depths: (usize, usize),
+    in_place: bool,
     buf: &mut Vec<f64>,
-) {
+) -> Operand {
     // A column of op(B) is a row of `b` only when transposed.
     let lanes_are_rows = op == GemmOp::Trans;
-    pack_panels(b, lanes_are_rows, K::NR, (jc, nc), (pc, kc), buf);
+    operand(
+        b,
+        lanes_are_rows,
+        K::NR,
+        cols,
+        depths,
+        in_place && !lanes_are_rows && b.rows() * b.cols() <= B_IN_PLACE_MAX,
+        buf,
+    )
 }
 
-/// The packing shared by both operands: the block of lanes
+/// The operand preparation shared by `A` and `B`: the block of lanes
 /// `lane0 .. lane0 + lanes` (rows of `op(A)` or columns of `op(B)`) at
-/// depths `p0 .. p0 + kc` goes into `w`-lane micro-panels,
-/// `buf[t·kc·w + p·w + l]` = lane `lane0 + t·w + l` at depth `p0 + p`.
-/// A lane is a row of `src` when `lanes_are_rows` (a transposing gather)
-/// and a column otherwise (one contiguous copy per depth). Partial edge
-/// panels are zero-padded to full `w`. Inlined so `w` is the tile's
-/// constant and full-width copies are fixed-size moves.
+/// depths `p0 .. p0 + kc`, in `w`-lane micro-panels. With `in_place`, the
+/// full panels are views into `src` and only the partial edge panel is
+/// packed; otherwise every panel is packed. Inlined so `w` is the tile's
+/// constant.
+#[inline(always)]
+fn operand(
+    src: &Matrix,
+    lanes_are_rows: bool,
+    w: usize,
+    (lane0, lanes): (usize, usize),
+    (p0, kc): (usize, usize),
+    in_place: bool,
+    buf: &mut Vec<f64>,
+) -> Operand {
+    let full = if in_place { lanes / w } else { 0 };
+    pack_panels(
+        src,
+        lanes_are_rows,
+        w,
+        (lane0 + full * w, lanes - full * w),
+        (p0, kc),
+        buf,
+    );
+    let cols = src.cols();
+    let (lane, depth, start) = if lanes_are_rows {
+        (cols, 1, lane0 * cols + p0)
+    } else {
+        (1, cols, p0 * cols + lane0)
+    };
+    Operand {
+        base: Panel {
+            ptr: src.as_slice().as_ptr().wrapping_add(start),
+            lane,
+            depth,
+        },
+        full,
+        packed: buf.as_ptr(),
+    }
+}
+
+/// Packs lanes `lane0 .. lane0 + lanes` at depths `p0 .. p0 + kc` into
+/// `w`-lane micro-panels, `buf[t·kc·w + p·w + l]` = lane `lane0 + t·w + l`
+/// at depth `p0 + p`. A lane is a row of `src` when `lanes_are_rows` (a
+/// transposing gather) and a column otherwise (one contiguous copy per
+/// depth). Partial edge panels are zero-padded to full `w`. Inlined so
+/// `w` is the tile's constant and full-width copies are fixed-size moves.
 #[inline(always)]
 fn pack_panels(
     src: &Matrix,
@@ -690,26 +844,29 @@ fn pack_panels(
 /// stack tile that partial edge tiles are computed into.
 const TILE_MAX: usize = 128;
 
-/// Runs `kernel` over every `MR × NR` tile of the packed `mc × nc` block
-/// and merges `α`-scaled results into the output (`store` replaces
-/// instead of accumulating — the first-panel fast path). Full tiles go
-/// straight from registers into `C`; partial edge tiles are computed into
-/// a stack tile and only their in-bounds part is merged.
+/// Runs `kernel` over every `MR × NR` tile of the `mc × nc` block and
+/// merges `α`-scaled results into the output (`store` replaces instead of
+/// accumulating — the first-panel fast path). Full tiles go straight from
+/// registers into `C`; partial edge tiles (whose operand panels are
+/// zero-padded packs) are computed into a stack tile and only their
+/// in-bounds part is merged.
 ///
 /// # Safety
 ///
 /// `cbase` must point to the start of a row-major buffer of row length
 /// `ccols` covering at least rows `ic..ic + mc` and columns
 /// `jc..jc + nc`, with no concurrent access to that block from any other
-/// thread.
+/// thread. `a` must yield readable `K::MR`-lane panels `kc` deep for every
+/// row tile of the block, and `b` readable `K::NR`-lane panels with
+/// `lane == 1` for every column tile.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
 unsafe fn macro_kernel<K: TileKernel>(
     kernel: K,
     alpha: f64,
     (mc, nc, kc): (usize, usize, usize),
-    pack_a: &[f64],
-    pack_b: &[f64],
+    a: Operand,
+    b: Operand,
     cbase: *mut f64,
     ccols: usize,
     ic: usize,
@@ -722,18 +879,18 @@ unsafe fn macro_kernel<K: TileKernel>(
     for u in 0..col_tiles {
         let jr = u * K::NR;
         let nr = K::NR.min(nc - jr);
-        let bp = &pack_b[u * kc * K::NR..(u + 1) * kc * K::NR];
+        let bp = b.panel(u, K::NR, kc);
         for t in 0..row_tiles {
             let ir = t * K::MR;
             let mr = K::MR.min(mc - ir);
-            let ap = &pack_a[t * kc * K::MR..(t + 1) * kc * K::MR];
+            let ap = a.panel(t, K::MR, kc);
             if mr == K::MR && nr == K::NR {
                 // SAFETY: rows ic+ir .. ic+ir+MR and columns jc+jr .. +NR
                 // are in bounds (full tile) and exclusive to this call; both
-                // panel slices hold `kc` chunks.
+                // panels are readable `kc` deep, per the caller.
                 unsafe {
                     let dst = cbase.add((ic + ir) * ccols + jc + jr);
-                    kernel.tile(ap, bp, dst, ccols, alpha, store);
+                    kernel.tile(ap, bp, kc, dst, ccols, alpha, store);
                 }
                 continue;
             }
@@ -742,8 +899,9 @@ unsafe fn macro_kernel<K: TileKernel>(
             // α-scale and store/add as the full-tile path.
             let mut acc = [0.0f64; TILE_MAX];
             // SAFETY: `acc` holds MR rows of NR doubles, NR apart, and both
-            // panel slices hold `kc` chunks.
-            unsafe { kernel.tile(ap, bp, acc.as_mut_ptr(), K::NR, 1.0, true) };
+            // panels are readable `kc` deep (the partial one is a padded
+            // pack), per the caller.
+            unsafe { kernel.tile(ap, bp, kc, acc.as_mut_ptr(), K::NR, 1.0, true) };
             for r in 0..mr {
                 // SAFETY: row ic+ir+r, columns jc+jr .. +nr are inside the
                 // caller-guaranteed exclusive block.
@@ -783,21 +941,24 @@ trait TileKernel: Copy {
     /// Tile width (columns of `C` per register tile).
     const NR: usize;
 
-    /// Computes one full `MR × NR` tile from the packed panels `ap` (`kc`
-    /// chunks of `MR`) and `bp` (`kc` chunks of `NR`): each element's
-    /// products are accumulated from zero in `p` order, and the sum is
-    /// `α`-scaled and stored (`store`) or added into
-    /// `dst[r·row_stride + j]`.
+    /// Computes one full `MR × NR` tile from the `kc`-deep panels `a`
+    /// (`MR` lanes, broadcast one element at a time) and `b` (`NR`
+    /// contiguous lanes): each element's products are accumulated from
+    /// zero in `p` order, and the sum is `α`-scaled and stored (`store`)
+    /// or added into `dst[r·row_stride + j]`.
     ///
     /// # Safety
     ///
-    /// `ap.len() / MR == bp.len() / NR`, and `dst` must address `MR` rows
-    /// of `NR` writable doubles, `row_stride` apart, that nothing else
-    /// accesses during the call.
+    /// `a` must be readable at every `(lane < MR, depth < kc)` and `b` at
+    /// every `(lane < NR, depth < kc)` with `b.lane == 1`; `dst` must
+    /// address `MR` rows of `NR` writable doubles, `row_stride` apart,
+    /// that nothing else accesses during the call.
+    #[allow(clippy::too_many_arguments)]
     unsafe fn tile(
         self,
-        ap: &[f64],
-        bp: &[f64],
+        a: Panel,
+        b: Panel,
+        kc: usize,
         dst: *mut f64,
         row_stride: usize,
         alpha: f64,
@@ -867,18 +1028,23 @@ impl TileKernel for PortableKernel {
 
     unsafe fn tile(
         self,
-        ap: &[f64],
-        bp: &[f64],
+        a: Panel,
+        b: Panel,
+        kc: usize,
         dst: *mut f64,
         row_stride: usize,
         alpha: f64,
         store: bool,
     ) {
         let mut acc = [[0.0f64; Self::NR]; Self::MR];
-        for (av, bv) in ap.chunks_exact(Self::MR).zip(bp.chunks_exact(Self::NR)) {
-            for (accr, &a) in acc.iter_mut().zip(av) {
-                for (cv, &b) in accr.iter_mut().zip(bv) {
-                    *cv += a * b;
+        for p in 0..kc {
+            // SAFETY: the caller guarantees both panels at depth p.
+            let bv = unsafe { &*b.ptr.add(p * b.depth).cast::<[f64; Self::NR]>() };
+            for (r, accr) in acc.iter_mut().enumerate() {
+                // SAFETY: as above, lane r of `a`.
+                let av = unsafe { *a.ptr.add(r * a.lane + p * a.depth) };
+                for (cv, &bj) in accr.iter_mut().zip(bv) {
+                    *cv += av * bj;
                 }
             }
         }
@@ -903,22 +1069,23 @@ impl TileKernel for Avx2Kernel {
 
     unsafe fn tile(
         self,
-        ap: &[f64],
-        bp: &[f64],
+        a: Panel,
+        b: Panel,
+        kc: usize,
         dst: *mut f64,
         row_stride: usize,
         alpha: f64,
         store: bool,
     ) {
         // SAFETY: the token proves AVX2+FMA; the caller upholds the rest.
-        unsafe { avx2_tile(ap, bp, dst, row_stride, alpha, store) }
+        unsafe { avx2_tile(a, b, kc, dst, row_stride, alpha, store) }
     }
 }
 
 /// The AVX2+FMA `4 × 8` tile in explicit 256-bit intrinsics: each tile row
-/// is two `ymm` accumulators, so every packed `A` element costs one
-/// broadcast and two FMAs. (The autovectorizer leaves the equivalent safe
-/// loop as 32 scalar FMAs, which measured ~2× slower.)
+/// is two `ymm` accumulators, so every `A` element costs one broadcast and
+/// two FMAs. (The autovectorizer leaves the equivalent safe loop as 32
+/// scalar FMAs, which measured ~2× slower.)
 ///
 /// # Safety
 ///
@@ -927,8 +1094,9 @@ impl TileKernel for Avx2Kernel {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn avx2_tile(
-    ap: &[f64],
-    bp: &[f64],
+    a: Panel,
+    b: Panel,
+    kc: usize,
     dst: *mut f64,
     row_stride: usize,
     alpha: f64,
@@ -936,21 +1104,23 @@ unsafe fn avx2_tile(
 ) {
     use core::arch::x86_64::*;
     const MR: usize = Avx2Kernel::MR;
-    const NR: usize = Avx2Kernel::NR;
-    debug_assert_eq!(ap.len() / MR, bp.len() / NR);
-    // SAFETY: the panels hold `kc` complete MR/NR chunks and `dst` holds
-    // MR rows of NR = 8 doubles (two ymm each), per the caller.
+    // SAFETY: both panels are readable `kc` deep and `dst` holds MR rows
+    // of NR = 8 doubles (two ymm each), per the caller.
     unsafe {
         let mut c = [[_mm256_setzero_pd(); 2]; MR];
-        for p in 0..bp.len() / NR {
-            let b0 = _mm256_loadu_pd(bp.as_ptr().add(p * NR));
-            let b1 = _mm256_loadu_pd(bp.as_ptr().add(p * NR + 4));
-            let a = ap.as_ptr().add(p * MR);
+        let (mut ap, mut bp) = (a.ptr, b.ptr);
+        for _ in 0..kc {
+            let b0 = _mm256_loadu_pd(bp);
+            let b1 = _mm256_loadu_pd(bp.add(4));
             for (r, cr) in c.iter_mut().enumerate() {
-                let av = _mm256_set1_pd(*a.add(r));
+                let av = _mm256_set1_pd(*ap.add(r * a.lane));
                 cr[0] = _mm256_fmadd_pd(av, b0, cr[0]);
                 cr[1] = _mm256_fmadd_pd(av, b1, cr[1]);
             }
+            // Past the last depth these may leave the operand, hence
+            // wrapping (they are not read again).
+            ap = ap.wrapping_add(a.depth);
+            bp = bp.wrapping_add(b.depth);
         }
         let va = _mm256_set1_pd(alpha);
         for (r, cr) in c.iter().enumerate() {
@@ -981,22 +1151,23 @@ impl TileKernel for Avx512Kernel {
 
     unsafe fn tile(
         self,
-        ap: &[f64],
-        bp: &[f64],
+        a: Panel,
+        b: Panel,
+        kc: usize,
         dst: *mut f64,
         row_stride: usize,
         alpha: f64,
         store: bool,
     ) {
         // SAFETY: the token proves AVX-512F; the caller upholds the rest.
-        unsafe { avx512_tile(ap, bp, dst, row_stride, alpha, store) }
+        unsafe { avx512_tile(a, b, kc, dst, row_stride, alpha, store) }
     }
 }
 
 /// The AVX-512F `8 × 16` tile: each tile row is two `zmm` accumulators (16
-/// of the 32 registers), so every packed `A` element costs one broadcast
-/// and two 8-wide FMAs, and each loaded `B` row feeds twice the rows of
-/// the AVX2 tile.
+/// of the 32 registers), so every `A` element costs one broadcast and two
+/// 8-wide FMAs, and each loaded `B` row feeds twice the rows of the AVX2
+/// tile.
 ///
 /// # Safety
 ///
@@ -1005,8 +1176,9 @@ impl TileKernel for Avx512Kernel {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn avx512_tile(
-    ap: &[f64],
-    bp: &[f64],
+    a: Panel,
+    b: Panel,
+    kc: usize,
     dst: *mut f64,
     row_stride: usize,
     alpha: f64,
@@ -1014,21 +1186,23 @@ unsafe fn avx512_tile(
 ) {
     use core::arch::x86_64::*;
     const MR: usize = Avx512Kernel::MR;
-    const NR: usize = Avx512Kernel::NR;
-    debug_assert_eq!(ap.len() / MR, bp.len() / NR);
-    // SAFETY: the panels hold `kc` complete MR/NR chunks and `dst` holds
-    // MR rows of NR = 16 doubles (two zmm each), per the caller.
+    // SAFETY: both panels are readable `kc` deep and `dst` holds MR rows
+    // of NR = 16 doubles (two zmm each), per the caller.
     unsafe {
         let mut c = [[_mm512_setzero_pd(); 2]; MR];
-        for p in 0..bp.len() / NR {
-            let b0 = _mm512_loadu_pd(bp.as_ptr().add(p * NR));
-            let b1 = _mm512_loadu_pd(bp.as_ptr().add(p * NR + 8));
-            let a = ap.as_ptr().add(p * MR);
+        let (mut ap, mut bp) = (a.ptr, b.ptr);
+        for _ in 0..kc {
+            let b0 = _mm512_loadu_pd(bp);
+            let b1 = _mm512_loadu_pd(bp.add(8));
             for (r, cr) in c.iter_mut().enumerate() {
-                let av = _mm512_set1_pd(*a.add(r));
+                let av = _mm512_set1_pd(*ap.add(r * a.lane));
                 cr[0] = _mm512_fmadd_pd(av, b0, cr[0]);
                 cr[1] = _mm512_fmadd_pd(av, b1, cr[1]);
             }
+            // Past the last depth these may leave the operand, hence
+            // wrapping (they are not read again).
+            ap = ap.wrapping_add(a.depth);
+            bp = bp.wrapping_add(b.depth);
         }
         let va = _mm512_set1_pd(alpha);
         for (r, cr) in c.iter().enumerate() {
@@ -1055,6 +1229,10 @@ mod tests {
         /// Per-thread override of [`select_micro_kernel`], so one test can
         /// run every kernel the host supports on the same operands.
         pub(super) static FORCED_KERNEL: Cell<Option<MicroKernel>> = const { Cell::new(None) };
+        /// Per-thread override of [`reads_in_place`]: packs every operand
+        /// whatever `k`, so a test can compare the packing-free path with
+        /// the fully packed one on the same operands.
+        pub(super) static FORCE_PACKED: Cell<bool> = const { Cell::new(false) };
     }
 
     /// Runs `f` with every GEMM on this thread using `kernel`.
@@ -1390,6 +1568,10 @@ mod tests {
             (128, 48, 40),
             (48, 40, 128),
             (128, 48, 30),
+            (128, 13, 48),
+            (13, 48, 128),
+            (128, 48, 13),
+            (48, 48, 128),
             // m and n not multiples of 4, 8 or 16.
             (13, 21, 37),
             (67, 45, 29),
@@ -1425,6 +1607,110 @@ mod tests {
             }
         }
         println!("cross-kernel GEMM check covered: {}", covered.join(", "));
+    }
+
+    /// Operands of an `m × n × k` product, stored the way `op_a` and
+    /// `op_b` read them.
+    fn operands(op_a: GemmOp, op_b: GemmOp, (m, n, k): (usize, usize, usize)) -> (Matrix, Matrix) {
+        let stored = |op, rows, cols| match op {
+            GemmOp::NoTrans => (rows, cols),
+            GemmOp::Trans => (cols, rows),
+        };
+        let ((ar, ac), (br, bc)) = (stored(op_a, m, k), stored(op_b, k, n));
+        (
+            filled(ar, ac, |i, j| ((i * 7 + j * 3) as f64 * 0.13).sin()),
+            filled(br, bc, |i, j| (0.21 * i as f64 - 0.4 * j as f64).cos()),
+        )
+    }
+
+    /// `α·op(A)·op(B) + β·C0` with every operand packed (`packed`) or on
+    /// the packing-free single-panel path, through [`gemm`] or, with
+    /// `prepacked_b` and an `op(B)` that fits one panel, through
+    /// [`gemm_prepacked_with`].
+    #[allow(clippy::too_many_arguments)]
+    fn product_on_path(
+        packed: bool,
+        prepacked_b: bool,
+        (op_a, op_b): (GemmOp, GemmOp),
+        alpha: f64,
+        a: &Matrix,
+        b: &Matrix,
+        beta: f64,
+        c0: &Matrix,
+    ) -> Matrix {
+        FORCE_PACKED.set(packed);
+        let mut ws = GemmWorkspace::new();
+        let mut c = c0.clone();
+        match PackedB::try_pack(op_b, b).filter(|_| prepacked_b) {
+            Some(pb) => {
+                gemm_prepacked_with(op_a, alpha, a, &pb, beta, &mut c, &mut ws, &mut NoEpilogue)
+            }
+            None => gemm(op_a, op_b, alpha, a, b, beta, &mut c, &mut ws),
+        }
+        FORCE_PACKED.set(false);
+        c
+    }
+
+    /// The packing-free single-panel path (operands read in place, only
+    /// edge tiles and a transposed `B` packed) against packing every
+    /// operand, under each kernel the host supports: every op pair, α, β,
+    /// depths on both sides of `KC` and partial row and column tiles give
+    /// bit-identical products, through [`gemm`] and the prepacked entry.
+    #[test]
+    fn direct_path_bit_identity() {
+        let ops = [GemmOp::NoTrans, GemmOp::Trans];
+        // Partial row and column tiles for every MR/NR, a row count
+        // crossing MC, and one shape large enough to leave the naive
+        // kernel at k = 1.
+        let sizes = [(13, 21), (37, 40), (70, 61), (130, 13)];
+        let mut covered = Vec::new();
+        for kernel in MicroKernel::supported() {
+            let (name, mr, nr, _) = describe(kernel);
+            let mut compared = 0;
+            for ((m, n), k) in sizes
+                .into_iter()
+                .flat_map(|s| [1, KC - 1, KC, KC + 1].map(|k| (s, k)))
+            {
+                for (op_a, op_b) in ops.into_iter().flat_map(|x| ops.map(|y| (x, y))) {
+                    let (a, b) = operands(op_a, op_b, (m, n, k));
+                    let c0 = filled(m, n, |i, j| ((i * 5 + j) as f64 * 0.17).cos());
+                    for alpha in [1.0, -0.5] {
+                        for (beta, prepacked_b) in [0.0, 1.0, 0.3]
+                            .into_iter()
+                            .flat_map(|x| [(x, false), (x, true)])
+                        {
+                            let [direct, packed] = [false, true].map(|packed| {
+                                with_forced_kernel(kernel, || {
+                                    product_on_path(
+                                        packed,
+                                        prepacked_b,
+                                        (op_a, op_b),
+                                        alpha,
+                                        &a,
+                                        &b,
+                                        beta,
+                                        &c0,
+                                    )
+                                })
+                            });
+                            assert!(
+                                direct.as_slice().iter().zip(packed.as_slice()).all(|(p, q)| p.to_bits() == q.to_bits()),
+                                "{name}: direct and packed differ at {m}x{n}x{k} {op_a:?}/{op_b:?} \
+                                 alpha={alpha} beta={beta} prepacked={prepacked_b}"
+                            );
+                            compared += 1;
+                        }
+                    }
+                }
+            }
+            covered.push(format!(
+                "{name} {mr}x{nr} direct≡packed ({compared} products)"
+            ));
+        }
+        println!(
+            "direct-vs-packed GEMM check covered: {}",
+            covered.join(", ")
+        );
     }
 
     #[test]

@@ -69,16 +69,6 @@ struct Dense {
     b: Vec<f64>,
 }
 
-/// Pre-packed GEMM panels of a frozen network's weights (see
-/// [`Mlp::freeze`]): per layer, `Wᵀ` packed for the forward `x·Wᵀ` and `W`
-/// packed for the backward `δ·W` propagation. `None` for layers too large
-/// for a single GEMM panel.
-#[derive(Debug, Clone, Default)]
-struct FrozenPacks {
-    fwd: Vec<Option<linalg::PackedB>>,
-    bwd: Vec<Option<linalg::PackedB>>,
-}
-
 /// Parameter gradients for a whole network, shaped like the network itself.
 #[derive(Debug, Clone, Default)]
 pub struct Gradients {
@@ -148,9 +138,10 @@ pub struct ForwardCache {
 pub struct Mlp {
     layers: Vec<Dense>,
     hidden_act: Activation,
-    /// Pre-packed weight panels, present only between a [`Mlp::freeze`]
-    /// call and the next parameter mutation.
-    frozen: Option<FrozenPacks>,
+    /// Per layer, `Wᵀ` pre-packed for the forward `x·Wᵀ` (`None` for a
+    /// layer too large for one GEMM panel); present only between a
+    /// [`Mlp::freeze`] call and the next parameter mutation.
+    frozen: Option<Vec<Option<linalg::PackedB>>>,
 }
 
 impl Mlp {
@@ -184,26 +175,22 @@ impl Mlp {
         }
     }
 
-    /// Pre-packs every weight matrix into its GEMM panel layouts, so
-    /// subsequent forward/backward passes skip the per-call packing of the
-    /// right-hand operand. Call once the parameters are final (a trained
-    /// critic entering the actor loop, a trained actor proposing steps);
-    /// any later parameter mutation silently discards the packs. Products
-    /// with pre-packed weights are bit-identical to the blocked on-the-fly
-    /// path.
+    /// Pre-packs every layer's `Wᵀ`, the right-hand operand of the
+    /// forward `x·Wᵀ`, so subsequent forward passes skip its per-call
+    /// packing. The backward `δ·W` needs no pack: the GEMM reads a
+    /// `NoTrans` right operand in place. Call once the parameters are
+    /// final (a trained critic entering the actor loop, a trained actor
+    /// proposing steps); any later parameter mutation silently discards
+    /// the packs. Products with pre-packed weights are bit-identical to
+    /// the on-the-fly path.
     pub fn freeze(&mut self) {
         telemetry::record(telemetry::Metric::ModelFreezes, 1);
-        let mut packs = FrozenPacks::default();
-        for layer in &self.layers {
-            // Forward: B = Wᵀ, effective (k = in, n = out).
-            packs
-                .fwd
-                .push(linalg::PackedB::try_pack(linalg::GemmOp::Trans, &layer.w));
-            // Backward propagation: B = W, effective (k = out, n = in).
-            packs
-                .bwd
-                .push(linalg::PackedB::try_pack(linalg::GemmOp::NoTrans, &layer.w));
-        }
+        let packs = self
+            .layers
+            .iter()
+            // B = Wᵀ, effective (k = in, n = out).
+            .map(|layer| linalg::PackedB::try_pack(linalg::GemmOp::Trans, &layer.w))
+            .collect();
         self.frozen = Some(packs);
     }
 
@@ -214,12 +201,7 @@ impl Mlp {
 
     /// The pre-packed forward panel of layer `k`, when frozen and sized.
     pub(crate) fn packed_fwd(&self, k: usize) -> Option<&linalg::PackedB> {
-        self.frozen.as_ref().and_then(|f| f.fwd[k].as_ref())
-    }
-
-    /// The pre-packed backward panel of layer `k`, when frozen and sized.
-    pub(crate) fn packed_bwd(&self, k: usize) -> Option<&linalg::PackedB> {
-        self.frozen.as_ref().and_then(|f| f.bwd[k].as_ref())
+        self.frozen.as_ref().and_then(|f| f[k].as_ref())
     }
 
     /// Input dimensionality.

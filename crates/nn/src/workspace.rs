@@ -206,31 +206,28 @@ fn layer_gemm<E: Epilogue>(
     }
 }
 
-/// One delta propagation `δ · W` with the given fused epilogue, through
-/// the pre-packed panel when the network is frozen.
+/// One delta propagation `δ · W` with the given fused epilogue. `W` is a
+/// `NoTrans` right operand, which the GEMM reads in place, so a frozen
+/// network needs no pack for it.
 #[inline]
 fn prop_gemm<E: Epilogue>(
     delta: &Matrix,
     w: &Matrix,
-    packed: Option<&PackedB>,
     out: &mut Matrix,
     gemm_ws: &mut GemmWorkspace,
     epi: &mut E,
 ) {
-    match packed {
-        Some(p) => gemm_prepacked_with(GemmOp::NoTrans, 1.0, delta, p, 0.0, out, gemm_ws, epi),
-        None => gemm_with(
-            GemmOp::NoTrans,
-            GemmOp::NoTrans,
-            1.0,
-            delta,
-            w,
-            0.0,
-            out,
-            gemm_ws,
-            epi,
-        ),
-    }
+    gemm_with(
+        GemmOp::NoTrans,
+        GemmOp::NoTrans,
+        1.0,
+        delta,
+        w,
+        0.0,
+        out,
+        gemm_ws,
+        epi,
+    );
 }
 
 impl Mlp {
@@ -373,13 +370,11 @@ impl Mlp {
             // activation-derivative product (δ ⊙ act'(acts[k])) into its
             // output tiles; for k == 0 it is the plain input gradient.
             let (w, _) = self.layer(k);
-            let packed = self.packed_bwd(k);
             if k > 0 {
                 match self.activation() {
                     Activation::Relu => prop_gemm(
                         &ws.delta,
                         w,
-                        packed,
                         &mut ws.delta_tmp,
                         &mut ws.gemm,
                         &mut ActPrimeEpilogue::<ReluAct>::new(&ws.acts[k]),
@@ -387,7 +382,6 @@ impl Mlp {
                     Activation::Tanh => prop_gemm(
                         &ws.delta,
                         w,
-                        packed,
                         &mut ws.delta_tmp,
                         &mut ws.gemm,
                         &mut ActPrimeEpilogue::<TanhAct>::new(&ws.acts[k]),
@@ -397,7 +391,6 @@ impl Mlp {
                 prop_gemm(
                     &ws.delta,
                     w,
-                    packed,
                     &mut ws.delta_tmp,
                     &mut ws.gemm,
                     &mut linalg::NoEpilogue,
@@ -516,9 +509,10 @@ mod tests {
         assert_eq!(net_a.forward(&x), net_b.forward(&x));
     }
 
-    /// Freezing pre-packs the weight panels; forward and backward through
-    /// the packed panels must match the on-the-fly blocked path bit for
-    /// bit, and any parameter mutation must silently discard the packs.
+    /// Freezing pre-packs the forward `Wᵀ` panels; forward through the
+    /// packed panels, and backward, must match the on-the-fly blocked path
+    /// bit for bit, and any parameter mutation must silently discard the
+    /// packs.
     #[test]
     fn frozen_packed_panels_match_on_the_fly_path() {
         let mut rng = StdRng::seed_from_u64(29);
